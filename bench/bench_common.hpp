@@ -32,14 +32,6 @@ using workload::reachable_trace;
 using workload::renoise;
 using workload::suitable_trace;
 
-/// Fresh policy instance by registry name with the standard fast-LSQ
-/// predictor wiring (core::make_standard_policy; DESIGN.md §13).
-inline std::unique_ptr<core::SchedulingPolicy> make_bench_policy(
-    const std::string& name, std::uint64_t seed,
-    util::SimTime tmax = util::SimTime::hours(48)) {
-  return core::make_standard_policy(name, seed, tmax);
-}
-
 inline const std::vector<std::string>& evaluated_policies() {
   static const std::vector<std::string> names = {"pop", "bandit", "earlyterm"};
   return names;

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     return bench::renoise(*model, base, 0xF167 ^ cell.at(repeat_ax));
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(policies[cell.at(policy_ax)], cell.at(repeat_ax));
+    return core::make_standard_policy(policies[cell.at(policy_ax)], cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions options;

@@ -90,11 +90,11 @@ int main(int argc, char** argv) {
                                          const core::StudySpec& spec) {
       if (spec.name == "sweep") {
         manager.add_study(spec, sweep_trace, [&, r] {
-          return bench::make_bench_policy("pop", 100 + r);
+          return core::make_standard_policy("pop", 100 + r);
         });
       } else {
         manager.add_study(spec, quick_trace, [&, r] {
-          return bench::make_bench_policy("default", 200 + r);
+          return core::make_standard_policy("default", 200 + r);
         });
       }
     };

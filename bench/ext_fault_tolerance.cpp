@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     return bench::suitable_trace(model, 100, 4700 + cell.at(repeat_ax) * 31, kMachines * 2);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy("pop", cell.at(repeat_ax));
+    return core::make_standard_policy("pop", cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     const Scenario& s = scenarios[cell.at(scenario_ax)];

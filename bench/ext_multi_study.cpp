@@ -77,14 +77,14 @@ int main(int argc, char** argv) {
     urgent.deadline = kDeadline;
     urgent.seed = 100 + r;
     manager.add_study(urgent, bench::renoise(model, urgent_base, 100 + r), [&, r] {
-      return bench::make_bench_policy("pop", 100 + r);
+      return core::make_standard_policy("pop", 100 + r);
     });
 
     core::StudySpec batch;
     batch.name = "batch";
     batch.seed = 200 + r;
     manager.add_study(batch, bench::renoise(model, batch_base, 200 + r), [&, r] {
-      return bench::make_bench_policy("pop", 200 + r);
+      return core::make_standard_policy("pop", 200 + r);
     });
 
     core::StudySpec quick;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     auto quick_trace = bench::renoise(model, quick_base, 300 + r);
     quick_trace.target_performance = kQuickTarget;
     manager.add_study(quick, std::move(quick_trace), [&, r] {
-      return bench::make_bench_policy("default", 300 + r);
+      return core::make_standard_policy("default", 300 + r);
     });
 
     auto result = manager.run();

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     return bench::suitable_trace(model, 100, 2800 + cell.at(repeat_ax) * 53, 8);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy("pop", cell.at(repeat_ax));
+    return core::make_standard_policy("pop", cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     const std::size_t mode = cell.at(mode_ax);

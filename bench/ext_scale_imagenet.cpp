@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     return bench::reachable_trace(model, 64, 3100 + cell.at(repeat_ax) * 71);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::all_policies()[cell.at(policy_ax)],
-                                    cell.at(repeat_ax));
+    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                      cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell&) {
     core::RunnerOptions options;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     // A budget with little slack over the fault-free time-to-target: this
     // is where slow-host-inflated epoch estimates turn into budget-driven
     // wrong kills unless the POP horizon is speed-normalized.
-    return bench::make_bench_policy("pop", cell.at(repeat_ax), util::SimTime::hours(4));
+    return core::make_standard_policy("pop", cell.at(repeat_ax), util::SimTime::hours(4));
   };
   spec.options = [&](const core::SweepCell& cell) {
     const Scenario& s = scenarios[cell.at(scenario_ax)];

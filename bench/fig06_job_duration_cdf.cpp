@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
     return bench::reachable_trace(model, 100, 600 + cell.at(repeat_ax) * 13);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::evaluated_policies()[cell.at(policy_ax)],
-                                    cell.at(repeat_ax));
+    return core::make_standard_policy(bench::evaluated_policies()[cell.at(policy_ax)],
+                                      cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions options;

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
     return bench::renoise(model, base, 0xF169 ^ cell.at(repeat_ax));
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::evaluated_policies()[cell.at(policy_ax)],
-                                    cell.at(repeat_ax));
+    return core::make_standard_policy(bench::evaluated_policies()[cell.at(policy_ax)],
+                                      cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions options;

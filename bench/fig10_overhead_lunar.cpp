@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return bench::reachable_trace(model, 100, 1000 + cell.at(repeat_ax) * 29);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy("pop", cell.at(repeat_ax));
+    return core::make_standard_policy("pop", cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions options;

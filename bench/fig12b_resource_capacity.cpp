@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
     return bench::suitable_trace(model, 100, 1200 + cell.at(repeat_ax) * 37, 25);
   };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::all_policies()[cell.at(policy_ax)],
-                                    cell.at(repeat_ax));
+    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                      cell.at(repeat_ax));
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions options;

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   const auto order_ax = spec.add_axis("order", order_labels);
   spec.trace = [&](const core::SweepCell& cell) { return orders[cell.at(order_ax)]; };
   spec.policy = [&](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::all_policies()[cell.at(policy_ax)],
-                                    cell.at(order_ax));
+    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                      cell.at(order_ax));
   };
   spec.options = [&](const core::SweepCell&) {
     core::RunnerOptions options;

@@ -22,8 +22,8 @@ core::SweepSpec make_spec(const workload::WorkloadModel& model, const workload::
     return bench::renoise(model, base, 0xF167 ^ cell.at(repeat_ax));
   };
   spec.policy = [policy_ax, repeat_ax](const core::SweepCell& cell) {
-    return bench::make_bench_policy(bench::all_policies()[cell.at(policy_ax)],
-                                    cell.at(repeat_ax));
+    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                      cell.at(repeat_ax));
   };
   spec.options = [repeat_ax](const core::SweepCell& cell) {
     core::RunnerOptions options;

@@ -65,7 +65,8 @@ struct CliConfig {
   /// Multi-study mode (§9): study spec files sharing one cluster.
   std::vector<std::string> studies;
   std::string arbitration = "fair";
-  /// Elastic cost-aware capacity (DESIGN.md §15; multi-study mode only).
+  /// Elastic cost-aware capacity (DESIGN.md §15). The catalog shapes cluster
+  /// runs and multi-study mode; the budget applies to multi-study mode only.
   cluster::NodeCatalog catalog;
   double budget_usd = std::numeric_limits<double>::infinity();
   /// Coordinator crash-recovery (DESIGN.md §12; multi-study mode only).
@@ -73,6 +74,11 @@ struct CliConfig {
   double checkpoint_every_s = 0.0;
   std::string resume_from;
   std::size_t kill_after_checkpoints = 0;
+
+  /// Fleet size: the catalog's node total when a catalog is given.
+  [[nodiscard]] std::size_t machine_total() const {
+    return catalog.empty() ? machines : catalog.total_nodes();
+  }
 
   [[nodiscard]] bool any_checkpointing() const {
     return !checkpoint_out.empty() || checkpoint_every_s > 0.0 || !resume_from.empty() ||
@@ -205,7 +211,8 @@ cli::Options make_options(CliConfig& config) {
   options.add("--catalog", "FILE",
               "node catalog file: typed node classes with prices,\n"
               "speed factors and spot markers (README \"Node\n"
-              "catalogs\"); overrides --machines with its total",
+              "catalogs\"); overrides --machines with its total;\n"
+              "single-study runs need --substrate cluster",
               [&config](const std::string& path) {
                 std::ifstream in(path);
                 if (!in) {
@@ -335,9 +342,8 @@ int run_studies(const CliConfig& config) {
   }
   if (!config.trace_out.empty()) manager_options.obs.sink = &sink;
 
-  std::printf("multi-study: %zu studies, machines=%zu, arbitration=%s\n",
-              specs.size(),
-              config.catalog.empty() ? config.machines : config.catalog.total_nodes(),
+  std::printf("multi-study: %zu studies, machines=%zu, arbitration=%s\n", specs.size(),
+              config.machine_total(),
               std::string(core::to_string(manager_options.arbitration)).c_str());
   core::MultiStudyResult result;
   core::CoordinatorRecoveryStats recovery;
@@ -433,6 +439,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--health requires --substrate cluster\n");
     return 2;
   }
+  if (!config.catalog.empty() && config.substrate != "cluster") {
+    std::fprintf(stderr, "--catalog requires --substrate cluster\n");
+    return 2;
+  }
   if (!validate_cli_policy(config)) return 2;
 
   const auto model = make_workload(config.workload);
@@ -449,7 +459,7 @@ int main(int argc, char** argv) {
   std::printf("workload=%s policy=%s generator=%s machines=%zu configs=%zu "
               "substrate=%s repeats=%zu\n",
               config.workload.c_str(), config.policy.c_str(), config.generator.c_str(),
-              config.machines, config.configs, config.substrate.c_str(),
+              config.machine_total(), config.configs, config.substrate.c_str(),
               config.repeats);
   if (!base.target_reachable()) {
     std::printf("note: no configuration in this set reaches the target %.3f\n",
@@ -485,6 +495,7 @@ int main(int argc, char** argv) {
     ropts.substrate = config.substrate == "cluster" ? core::Substrate::Cluster
                                                     : core::Substrate::TraceReplay;
     ropts.machines = config.machines;
+    ropts.catalog = config.catalog;
     ropts.max_experiment_time = util::SimTime::hours(config.tmax_hours);
     ropts.stop_on_target = config.stop_on_target;
     ropts.seed = config.seed ^ cell.at(repeat_ax);

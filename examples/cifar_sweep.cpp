@@ -3,8 +3,10 @@
 // goes — the motivating workload from the paper's introduction, where only a
 // few of hundreds of configurations are worth training to completion.
 #include <cstdio>
+#include <string>
 
 #include "core/experiment_runner.hpp"
+#include "core/policy_registry.hpp"
 #include "util/stats.hpp"
 #include "workload/cifar_model.hpp"
 
@@ -36,14 +38,8 @@ int main() {
 
   std::printf("%-10s %14s %12s %12s %14s\n", "policy", "time-to-77%", "terminated",
               "suspends", "machine-hours");
-  for (const auto kind : {core::PolicyKind::Pop, core::PolicyKind::Bandit,
-                          core::PolicyKind::EarlyTerm, core::PolicyKind::Default}) {
-    core::PolicySpec spec;
-    spec.kind = kind;
-    const auto predictor = core::make_default_predictor(3);
-    spec.pop.predictor = predictor;
-    spec.pop.tmax = util::SimTime::hours(48);
-    spec.earlyterm.predictor = predictor;
+  for (const std::string name : {"pop", "bandit", "earlyterm", "default"}) {
+    const auto policy = core::make_standard_policy(name, /*seed=*/3);
 
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
@@ -51,9 +47,8 @@ int main() {
     options.overheads = cluster::cifar_overhead_model();
     options.max_experiment_time = util::SimTime::hours(48);
 
-    const auto result = core::run_experiment(trace, spec, options);
-    std::printf("%-10s %14s %12zu %12zu %14.1f\n",
-                std::string(core::to_string(kind)).c_str(),
+    const auto result = core::run_experiment(trace, *policy, options);
+    std::printf("%-10s %14s %12zu %12zu %14.1f\n", name.c_str(),
                 result.reached_target
                     ? util::format_duration(result.time_to_target).c_str()
                     : "not reached",

@@ -11,6 +11,8 @@
 #include <map>
 
 #include "core/experiment_runner.hpp"
+#include "core/policies/default_policy.hpp"
+#include "core/policy_registry.hpp"
 #include "workload/cifar_model.hpp"
 
 using namespace hyperdrive;
@@ -90,14 +92,11 @@ int main() {
               result.jobs_started);
 
   // Same trace under POP, for reference.
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Pop;
-  spec.pop.predictor = core::make_default_predictor(2);
-  spec.pop.tmax = util::SimTime::hours(48);
+  const auto pop_policy = core::make_standard_policy("pop", /*seed=*/2);
   core::RunnerOptions runner;
   runner.machines = 4;
   runner.max_experiment_time = util::SimTime::hours(48);
-  const auto pop = core::run_experiment(trace, spec, runner);
+  const auto pop = core::run_experiment(trace, *pop_policy, runner);
   std::printf("  POP on the same trace: %s\n",
               pop.reached_target ? util::format_duration(pop.time_to_target).c_str()
                                  : "not reached");

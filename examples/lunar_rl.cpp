@@ -5,8 +5,10 @@
 //   * a non-learning kill threshold at the crash reward (-100),
 //   * learning-crash dynamics that make instantaneous-best policies unsafe.
 #include <cstdio>
+#include <string>
 
 #include "core/experiment_runner.hpp"
+#include "core/policy_registry.hpp"
 #include "workload/lunar_model.hpp"
 
 using namespace hyperdrive;
@@ -37,11 +39,8 @@ int main() {
   std::printf("candidate set: %zu configs, %zu of them learning-crash mid-training\n\n",
               trace.jobs.size(), crashes);
 
-  for (const auto kind : {core::PolicyKind::Pop, core::PolicyKind::Bandit}) {
-    core::PolicySpec spec;
-    spec.kind = kind;
-    spec.pop.predictor = core::make_default_predictor(5);
-    spec.pop.tmax = util::SimTime::hours(24);
+  for (const std::string name : {"pop", "bandit"}) {
+    const auto policy = core::make_standard_policy(name, /*seed=*/5, util::SimTime::hours(24));
 
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
@@ -50,8 +49,8 @@ int main() {
     options.overheads = cluster::lunar_criu_overhead_model();
     options.max_experiment_time = util::SimTime::hours(24);
 
-    const auto result = core::run_experiment(trace, spec, options);
-    std::printf("%-8s: ", std::string(core::to_string(kind)).c_str());
+    const auto result = core::run_experiment(trace, *policy, options);
+    std::printf("%-8s: ", name.c_str());
     if (result.reached_target) {
       std::printf("solved in %s (config #%llu), %zu early terminations\n",
                   util::format_duration(result.time_to_target).c_str(),

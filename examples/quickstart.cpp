@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "core/experiment_runner.hpp"
+#include "core/policy_registry.hpp"
 #include "workload/cifar_model.hpp"
 
 using namespace hyperdrive;
@@ -40,12 +41,10 @@ int main() {
   std::printf("drew %zu configurations; target accuracy %.0f%%\n", trace.jobs.size(),
               100.0 * trace.target_performance);
 
-  // 3. POP with the fast learning-curve predictor, on the high-fidelity
-  //    cluster substrate (suspend/resume + messaging overheads modelled).
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Pop;
-  spec.pop.predictor = core::make_default_predictor(/*seed=*/1);
-  spec.pop.tmax = util::SimTime::hours(24);  // the user's time budget
+  // 3. POP with the fast learning-curve predictor and the user's 24-hour
+  //    time budget, on the high-fidelity cluster substrate (suspend/resume +
+  //    messaging overheads modelled).
+  const auto pop = core::make_standard_policy("pop", /*seed=*/1, util::SimTime::hours(24));
 
   core::RunnerOptions options;
   options.substrate = core::Substrate::Cluster;
@@ -53,7 +52,7 @@ int main() {
   options.max_experiment_time = util::SimTime::hours(24);
 
   // 4. Run.
-  const auto result = core::run_experiment(trace, spec, options);
+  const auto result = core::run_experiment(trace, *pop, options);
   if (result.reached_target) {
     std::printf("reached %.1f%% accuracy after %s (configuration #%llu)\n",
                 100.0 * result.best_perf,
@@ -69,9 +68,8 @@ int main() {
               util::format_duration(result.total_machine_time).c_str());
 
   // For comparison: the same candidate set under naive full execution.
-  core::PolicySpec naive;
-  naive.kind = core::PolicyKind::Default;
-  const auto baseline = core::run_experiment(trace, naive, options);
+  const auto naive = core::make_standard_policy("default", /*seed=*/1);
+  const auto baseline = core::run_experiment(trace, *naive, options);
   if (result.reached_target && baseline.reached_target) {
     std::printf("speedup over run-everything-to-completion: %.1fx\n",
                 baseline.time_to_target / result.time_to_target);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/experiment_runner.hpp"
+#include "core/policies/default_policy.hpp"
 #include "workload/cifar_model.hpp"
 
 using namespace hyperdrive;

@@ -55,20 +55,21 @@
 #include "core/sap.hpp"
 #include "obs/scope.hpp"
 #include "sim/simulation.hpp"
+#include "sim/trace_replay.hpp"
 #include "util/bytes.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::cluster {
 
-struct ClusterOptions {
-  std::size_t machines = 4;
+/// Cluster-substrate options: the shared fields of sim::ReplayOptions
+/// (machines, Tmax, stop rule, global stop criterion, explore hook) plus the
+/// fidelity, fault, health and tenancy knobs only the cluster reads.
+struct ClusterOptions : sim::ReplayOptions {
   /// Typed fleet layout (DESIGN.md §15). Empty (default) means one implicit
   /// "standard" class of `machines` nodes at price 1.0 / speed 1.0 — the
   /// pre-elastic behavior, byte-identical. Non-empty overrides `machines`
   /// with the catalog's total node count.
   NodeCatalog catalog;
-  util::SimTime max_experiment_time = util::SimTime::infinity();
-  bool stop_on_target = true;
   std::uint64_t seed = 1;
   /// Lognormal sigma of per-epoch duration jitter around the trace average.
   double epoch_jitter_sigma = 0.04;
@@ -82,9 +83,6 @@ struct ClusterOptions {
   /// implementation is modelled: the machine holds the job idle until the
   /// decision arrives.
   bool overlap_decisions = true;
-  /// Model-owner-defined global termination criterion (§9); when set it
-  /// replaces the perf >= target check (stop_on_target still gates it).
-  core::GlobalStopCriterion stop_criterion;
   /// Faults to inject (default: none — a perfect cluster, byte-identical to
   /// the pre-fault-subsystem behavior).
   FaultPlan fault_plan;
@@ -107,12 +105,6 @@ struct ClusterOptions {
   /// perturbing the simulation. An attached registry receives end-of-run
   /// counters in finalize_result().
   obs::Scope obs;
-  /// Exploit/explore continuation hook (PBT; DESIGN.md §13). When set, the
-  /// cluster supports SchedulerOps::clone_job: the target adopts the donor's
-  /// stats prefix, receives a freshly minted snapshot at the donor's epoch,
-  /// and the normal resume path restores it onto the continuation curve this
-  /// hook returns. Unset = cloning unsupported (the default).
-  workload::ExploreFn explore;
   // --- multi-study tenancy (DESIGN.md §9) ----------------------------------
   /// Per-class slots online at start when the cluster is a StudyManager
   /// tenant; the remaining machines start parked (leasable later). Empty =

@@ -1,33 +1,8 @@
 #include "core/experiment_runner.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hyperdrive::core {
-
-std::string_view to_string(PolicyKind kind) noexcept {
-  switch (kind) {
-    case PolicyKind::Default: return "default";
-    case PolicyKind::Bandit: return "bandit";
-    case PolicyKind::EarlyTerm: return "earlyterm";
-    case PolicyKind::Pop: return "pop";
-  }
-  return "?";
-}
-
-std::unique_ptr<SchedulingPolicy> make_policy(const PolicySpec& spec) {
-  switch (spec.kind) {
-    case PolicyKind::Default:
-      return std::make_unique<DefaultPolicy>();
-    case PolicyKind::Bandit:
-      return std::make_unique<BanditPolicy>(spec.bandit);
-    case PolicyKind::EarlyTerm:
-      return std::make_unique<EarlyTermPolicy>(spec.earlyterm);
-    case PolicyKind::Pop:
-      return std::make_unique<PopPolicy>(spec.pop);
-  }
-  throw std::invalid_argument("unknown policy kind");
-}
 
 std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptions& options,
                                                             std::uint64_t seed,
@@ -58,52 +33,26 @@ std::shared_ptr<const curve::CurvePredictor> make_default_predictor(std::uint64_
   return make_predictor(options, seed, std::move(scope));
 }
 
-ExperimentResult run_experiment(const workload::Trace& trace, const PolicySpec& spec,
-                                const RunnerOptions& options) {
-  const auto policy = make_policy(spec);
-  return run_experiment(trace, *policy, options);
-}
-
 ExperimentResult run_experiment(const workload::Trace& trace, SchedulingPolicy& policy,
                                 const RunnerOptions& options) {
   if (options.substrate == Substrate::TraceReplay) {
-    sim::ReplayOptions replay;
-    replay.machines = options.machines;
-    replay.max_experiment_time = options.max_experiment_time;
-    replay.stop_on_target = options.stop_on_target;
-    replay.stop_criterion = options.stop_criterion;
-    replay.explore = options.explore;
-    return sim::replay_experiment(trace, policy, replay);
+    return sim::replay_experiment(trace, policy, options);
   }
-  cluster::ClusterOptions copts;
-  copts.machines = options.machines;
-  copts.max_experiment_time = options.max_experiment_time;
-  copts.stop_on_target = options.stop_on_target;
-  copts.stop_criterion = options.stop_criterion;
-  copts.seed = options.seed;
-  copts.epoch_jitter_sigma = options.epoch_jitter_sigma;
-  copts.overheads = options.overheads;
-  copts.fault_plan = options.fault_plan;
-  copts.health = options.health;
-  copts.decision_latency = options.decision_latency;
-  copts.overlap_decisions = options.overlap_decisions;
-  copts.obs = options.obs;
-  copts.explore = options.explore;
-  return cluster::run_cluster_experiment(trace, policy, copts);
+  return cluster::run_cluster_experiment(trace, policy, options);
 }
 
-AdaptiveSearchResult run_adaptive_search(const workload::WorkloadModel& model,
-                                         HyperparameterGenerator& generator,
-                                         const PolicySpec& spec,
-                                         const RunnerOptions& options, std::size_t rounds,
-                                         std::size_t configs_per_round,
-                                         std::uint64_t experiment_seed) {
+AdaptiveSearchResult run_adaptive_search(
+    const workload::WorkloadModel& model, HyperparameterGenerator& generator,
+    const std::function<std::unique_ptr<SchedulingPolicy>()>& policy_factory,
+    const RunnerOptions& options, std::size_t rounds, std::size_t configs_per_round,
+    std::uint64_t experiment_seed) {
   AdaptiveSearchResult out;
   for (std::size_t round = 0; round < rounds; ++round) {
     const auto trace = trace_from_generator(model, generator, configs_per_round,
                                             experiment_seed ^ round,
                                             /*report_feedback=*/false);
-    auto result = run_experiment(trace, spec, options);
+    const auto policy = policy_factory();
+    auto result = run_experiment(trace, *policy, options);
 
     // Close the loop (§4.2 ➁): report what the scheduler actually observed.
     // Jobs killed early report their best-so-far — exactly the signal the

@@ -11,32 +11,12 @@
 #include "cluster/cluster.hpp"
 #include "core/experiment_result.hpp"
 #include "core/generators/hyperparameter_generator.hpp"
-#include "core/policies/bandit_policy.hpp"
-#include "core/policies/default_policy.hpp"
-#include "core/policies/earlyterm_policy.hpp"
-#include "core/policies/pop_policy.hpp"
 #include "curve/caching_predictor.hpp"
 #include "curve/predictor.hpp"
 #include "sim/trace_replay.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::core {
-
-enum class PolicyKind { Default, Bandit, EarlyTerm, Pop };
-
-[[nodiscard]] std::string_view to_string(PolicyKind kind) noexcept;
-
-/// Everything needed to instantiate one of the four evaluated policies.
-struct PolicySpec {
-  PolicyKind kind = PolicyKind::Default;
-  BanditConfig bandit;
-  EarlyTermConfig earlyterm;
-  PopConfig pop;
-};
-
-/// Build a fresh policy instance. For EarlyTerm/POP a predictor must be set
-/// in the spec; `make_default_predictor` below provides the standard one.
-[[nodiscard]] std::unique_ptr<SchedulingPolicy> make_policy(const PolicySpec& spec);
 
 /// Predictor wiring in one place: which inner predictor to build, its
 /// configuration, and the caching/warm-start decorator options. The seed is
@@ -71,46 +51,20 @@ enum class Substrate {
   Cluster,      ///< high-fidelity cluster with overhead models (§5/§6)
 };
 
-struct RunnerOptions {
+/// Runner options: every substrate option, declared once in
+/// cluster::ClusterOptions (and its sim::ReplayOptions base), plus the
+/// substrate choice. run_experiment hands the object to the chosen substrate
+/// as is; the trace-replay simulator reads only its ReplayOptions part.
+struct RunnerOptions : cluster::ClusterOptions {
+  /// The runner's Tmax default is 48 h; the substrates default to none.
+  RunnerOptions() { max_experiment_time = util::SimTime::hours(48); }
+
   Substrate substrate = Substrate::TraceReplay;
-  std::size_t machines = 4;
-  util::SimTime max_experiment_time = util::SimTime::hours(48);
-  bool stop_on_target = true;
-  /// Model-owner-defined global termination criterion (§9); when set it
-  /// replaces the perf >= target check (stop_on_target still gates it).
-  GlobalStopCriterion stop_criterion;
-  /// Cluster-only fidelity knobs (ignored for TraceReplay).
-  cluster::OverheadModel overheads = cluster::cifar_overhead_model();
-  double epoch_jitter_sigma = 0.04;
-  std::uint64_t seed = 1;
-  /// Faults to inject (cluster only; default none — a perfect cluster).
-  cluster::FaultPlan fault_plan;
-  /// Gray-failure detection & mitigation (cluster only; DESIGN.md §7).
-  cluster::HealthOptions health;
-  /// Optional cost of computing a scheduling decision at evaluation
-  /// boundaries (cluster only; §5.2).
-  std::function<util::SimTime(JobId, std::size_t epoch, util::Rng&)> decision_latency;
-  /// §5.2 overlap of training and prediction (cluster only; the blocking
-  /// ablation sets this false).
-  bool overlap_decisions = true;
-  /// Instrumentation handle, forwarded to the cluster substrate (DESIGN.md
-  /// §10). TraceReplay ignores it (the idealized simulator has no event
-  /// vocabulary). Detached by default: zero overhead.
-  obs::Scope obs;
-  /// Exploit/explore continuation hook (PBT; DESIGN.md §13), forwarded to
-  /// both substrates. When set the substrate supports
-  /// SchedulerOps::clone_job; unset = cloning unsupported (the default).
-  workload::ExploreFn explore;
 };
 
-/// Run one experiment of `spec` over `trace`.
-[[nodiscard]] ExperimentResult run_experiment(const workload::Trace& trace,
-                                              const PolicySpec& spec,
-                                              const RunnerOptions& options);
-
-/// Same, driving an already-built policy instance (what the SweepEngine and
-/// the custom-policy benches use — policies are stateful, so the instance
-/// must be fresh per experiment).
+/// Run one experiment of `policy` over `trace`. Policies are stateful, so
+/// the instance must be fresh per experiment (make_standard_policy /
+/// make_registry_policy build one by name).
 [[nodiscard]] ExperimentResult run_experiment(const workload::Trace& trace,
                                               SchedulingPolicy& policy,
                                               const RunnerOptions& options);
@@ -138,9 +92,12 @@ struct AdaptiveSearchResult {
   util::SimTime total_time = util::SimTime::zero();
 };
 
+/// `policy_factory` runs once per round: policies are stateful, so every
+/// round gets a fresh instance.
 [[nodiscard]] AdaptiveSearchResult run_adaptive_search(
     const workload::WorkloadModel& model, HyperparameterGenerator& generator,
-    const PolicySpec& spec, const RunnerOptions& options, std::size_t rounds,
-    std::size_t configs_per_round, std::uint64_t experiment_seed);
+    const std::function<std::unique_ptr<SchedulingPolicy>()>& policy_factory,
+    const RunnerOptions& options, std::size_t rounds, std::size_t configs_per_round,
+    std::uint64_t experiment_seed);
 
 }  // namespace hyperdrive::core

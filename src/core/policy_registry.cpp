@@ -134,8 +134,8 @@ std::vector<std::string> PolicyParams::unconsumed() const {
 
 namespace {
 
-/// The predictor wiring every deleted construction site used: one shared
-/// make_default_predictor(seed) instance per policy build.
+/// The context's shared predictor, else a fresh make_default_predictor(seed)
+/// per policy build.
 std::shared_ptr<const curve::CurvePredictor> context_predictor(const PolicyContext& ctx) {
   if (ctx.predictor) return ctx.predictor;
   return make_default_predictor(ctx.seed, ctx.obs);

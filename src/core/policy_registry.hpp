@@ -8,10 +8,10 @@
 // so help text, validation, and spec round-trips can never drift from the
 // actual policy set.
 //
-// The built-in factories reproduce the pre-registry direct construction
-// byte-for-byte: predictor-backed policies (pop, earlyterm) share one
-// make_default_predictor(seed) instance, pop adopts the context's Tmax, and
-// an empty parameter bag yields each policy's default config.
+// A built-in factory given an empty parameter bag builds the same policy as
+// direct construction from the policy's default config struct, byte-for-byte:
+// predictor-backed policies (pop, earlyterm) get the context's predictor or
+// their own make_default_predictor(seed), and pop adopts the context's Tmax.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +128,8 @@ class PolicyRegistry {
     const std::string& name, const PolicyParams& params = {},
     const PolicyContext& ctx = {});
 
-/// The sweep/bench construction every comparison uses: default parameters,
-/// standard predictor from `seed`, POP horizon `tmax` — byte-identical to the
-/// old hand-rolled PolicySpec construction the benches used.
+/// The standard construction every sweep, bench and example uses: default
+/// parameters, standard predictor from `seed`, POP horizon `tmax`.
 [[nodiscard]] std::unique_ptr<SchedulingPolicy> make_standard_policy(
     const std::string& name, std::uint64_t seed,
     util::SimTime tmax = util::SimTime::hours(48));

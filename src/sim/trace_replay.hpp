@@ -19,6 +19,9 @@
 
 namespace hyperdrive::sim {
 
+/// The options both substrates read. cluster::ClusterOptions extends this
+/// struct with the cluster-only fidelity knobs, and core::RunnerOptions
+/// extends that, so each field is declared exactly once.
 struct ReplayOptions {
   std::size_t machines = 4;
   /// Experiment cutoff (the user's Tmax); infinity disables it.
@@ -31,9 +34,11 @@ struct ReplayOptions {
   /// replaces the perf >= target check (stop_on_target still gates it).
   core::GlobalStopCriterion stop_criterion;
   /// Exploit/explore continuation hook (PBT; DESIGN.md §13). When set, the
-  /// simulator supports SchedulerOps::clone_job: the target job adopts the
+  /// substrate supports SchedulerOps::clone_job: the target job adopts the
   /// donor's observed prefix and trains on against the continuation curve
-  /// this hook returns. Unset = cloning unsupported (the default).
+  /// this hook returns. The cluster also mints a fresh snapshot at the
+  /// donor's epoch and resumes the target from it through the normal
+  /// restore path. Unset = cloning unsupported (the default).
   workload::ExploreFn explore;
 };
 

@@ -666,7 +666,7 @@ TEST(StragglerAcceptanceTest, MitigationRecoversTimeToTargetAndEliminatesWrongKi
   // crawls to the target in the unmitigated arm.
   const auto tmax = SimTime::seconds(5700);
 
-  const auto make_policy = [&] {
+  const auto fresh_policy = [&] {
     core::PopConfig config;
     config.tmax = tmax;
     config.predictor = core::make_default_predictor(11);
@@ -683,7 +683,7 @@ TEST(StragglerAcceptanceTest, MitigationRecoversTimeToTargetAndEliminatesWrongKi
   options.reliability.enabled = true;  // level the field with the fault arms
 
   // Fault-free baseline.
-  auto clean_policy = make_policy();
+  auto clean_policy = fresh_policy();
   const auto clean = run_cluster_experiment(trace, clean_policy, options);
   ASSERT_TRUE(clean.reached_target);
 
@@ -692,7 +692,7 @@ TEST(StragglerAcceptanceTest, MitigationRecoversTimeToTargetAndEliminatesWrongKi
   auto off = options;
   off.fault_plan.slowdowns.push_back(slowdown(0, 4.0));
   off.fault_plan.slowdowns.push_back(slowdown(1, 4.0));
-  auto off_policy = make_policy();
+  auto off_policy = fresh_policy();
   obs::RecordingSink off_events;
   off.obs.sink = &off_events;
   const auto unmitigated = run_cluster_experiment(trace, off_policy, off);
@@ -700,7 +700,7 @@ TEST(StragglerAcceptanceTest, MitigationRecoversTimeToTargetAndEliminatesWrongKi
   // Same faults, mitigation ON.
   auto on = off;
   on.health = fast_health();
-  auto on_policy = make_policy();
+  auto on_policy = fresh_policy();
   obs::RecordingSink on_events;
   on.obs.sink = &on_events;
   const auto mitigated = run_cluster_experiment(trace, on_policy, on);

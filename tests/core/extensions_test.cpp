@@ -8,6 +8,7 @@
 #include "core/experiment_runner.hpp"
 #include "core/policies/hyperband_policy.hpp"
 #include "core/policies/pop_policy.hpp"
+#include "core/policy_registry.hpp"
 #include "sim/trace_replay.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/ptb_lstm_model.hpp"
@@ -366,16 +367,19 @@ TEST(AdaptiveSearchLoopTest, FeedbackImprovesRounds) {
   options.max_experiment_time = SimTime::hours(200);
   options.stop_on_target = false;  // measure best-found, not time-to-target
 
-  PolicySpec spec;
-  spec.kind = PolicyKind::Pop;
-  spec.pop.predictor = make_default_predictor(3);
-  spec.pop.tmax = SimTime::hours(200);
+  // Policies are stateful: the loop must build a fresh one every round.
+  std::size_t factory_calls = 0;
+  const auto pop = [&factory_calls] {
+    ++factory_calls;
+    return make_standard_policy("pop", 3, SimTime::hours(200));
+  };
 
   const auto tpe = make_tpe_generator(model.space(), 5, /*warmup=*/20, 0.25, 24);
   const auto tpe_result =
-      run_adaptive_search(model, *tpe, spec, options, /*rounds=*/4,
+      run_adaptive_search(model, *tpe, pop, options, /*rounds=*/4,
                           /*configs_per_round=*/25, /*experiment_seed=*/1);
   ASSERT_EQ(tpe_result.rounds.size(), 4u);
+  EXPECT_EQ(factory_calls, tpe_result.rounds.size());
 
   // Adaptivity shows up in the *mean* quality of explored configurations:
   // the last round's population must beat the (random-warmup) first round's.
@@ -407,11 +411,10 @@ TEST(AdaptiveSearchLoopTest, StopsEarlyOnTarget) {
   options.max_experiment_time = SimTime::hours(200);
   options.stop_on_target = true;
 
-  PolicySpec spec;
-  spec.kind = PolicyKind::Default;
+  const auto fifo = [] { return make_standard_policy("default", 1); };
 
   const auto gen = make_random_generator(model.space(), 1234);
-  const auto result = run_adaptive_search(model, *gen, spec, options, /*rounds=*/8,
+  const auto result = run_adaptive_search(model, *gen, fifo, options, /*rounds=*/8,
                                           /*configs_per_round=*/40, 2);
   if (result.reached_target) {
     EXPECT_TRUE(result.rounds.back().reached_target);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "core/experiment_runner.hpp"
+#include "core/policy_registry.hpp"
+#include "obs/sink.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/lunar_model.hpp"
 
@@ -22,17 +25,16 @@ workload::Trace reachable_trace(const workload::WorkloadModel& model, std::size_
   return trace;
 }
 
-PolicySpec spec_for(PolicyKind kind, std::uint64_t seed) {
-  PolicySpec spec;
-  spec.kind = kind;
-  const auto predictor = make_default_predictor(seed);
-  spec.earlyterm.predictor = predictor;
-  spec.pop.predictor = predictor;
-  spec.pop.tmax = SimTime::hours(48);
-  return spec;
+// The suite's parameter is an enum rather than the policy name so that its
+// registered test names, which print the parameter, stay stable.
+enum class Kind { Default, Bandit, EarlyTerm, Pop };
+
+std::string name_of(Kind kind) {
+  constexpr const char* kNames[] = {"default", "bandit", "earlyterm", "pop"};
+  return kNames[static_cast<int>(kind)];
 }
 
-class AllPoliciesTest : public ::testing::TestWithParam<PolicyKind> {};
+class AllPoliciesTest : public ::testing::TestWithParam<Kind> {};
 
 TEST_P(AllPoliciesTest, ReachesTargetOnReachableCifarTrace) {
   workload::CifarWorkloadModel model;
@@ -40,8 +42,9 @@ TEST_P(AllPoliciesTest, ReachesTargetOnReachableCifarTrace) {
   RunnerOptions options;
   options.machines = 4;
   options.max_experiment_time = SimTime::hours(96);
-  const auto result = run_experiment(trace, spec_for(GetParam(), 101), options);
-  EXPECT_TRUE(result.reached_target) << to_string(GetParam());
+  const auto result = run_experiment(trace, *make_standard_policy(name_of(GetParam()), 101),
+                                     options);
+  EXPECT_TRUE(result.reached_target) << name_of(GetParam());
   EXPECT_GE(result.best_perf, trace.target_performance);
 }
 
@@ -55,24 +58,24 @@ TEST_P(AllPoliciesTest, ReplayAndClusterAgreeWithin15Percent) {
   options.max_experiment_time = SimTime::hours(96);
 
   options.substrate = Substrate::TraceReplay;
-  const auto replay = run_experiment(trace, spec_for(GetParam(), 202), options);
+  const auto replay =
+      run_experiment(trace, *make_standard_policy(name_of(GetParam()), 202), options);
   options.substrate = Substrate::Cluster;
-  const auto cluster = run_experiment(trace, spec_for(GetParam(), 202), options);
+  const auto cluster =
+      run_experiment(trace, *make_standard_policy(name_of(GetParam()), 202), options);
 
   ASSERT_TRUE(replay.reached_target);
   ASSERT_TRUE(cluster.reached_target);
   const double error = std::fabs(cluster.time_to_target.to_seconds() -
                                  replay.time_to_target.to_seconds()) /
                        cluster.time_to_target.to_seconds();
-  EXPECT_LT(error, 0.15) << to_string(GetParam());
+  EXPECT_LT(error, 0.15) << name_of(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AllPoliciesTest,
-                         ::testing::Values(PolicyKind::Default, PolicyKind::Bandit,
-                                           PolicyKind::EarlyTerm, PolicyKind::Pop),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+                         ::testing::Values(Kind::Default, Kind::Bandit, Kind::EarlyTerm,
+                                           Kind::Pop),
+                         [](const auto& info) { return name_of(info.param); });
 
 TEST(SchedulingComparisonTest, PopBeatsDefaultOnAverageCifar) {
   workload::CifarWorkloadModel model;
@@ -83,8 +86,8 @@ TEST(SchedulingComparisonTest, PopBeatsDefaultOnAverageCifar) {
     RunnerOptions options;
     options.machines = 4;
     options.max_experiment_time = SimTime::hours(96);
-    const auto pop = run_experiment(trace, spec_for(PolicyKind::Pop, r), options);
-    const auto def = run_experiment(trace, spec_for(PolicyKind::Default, r), options);
+    const auto pop = run_experiment(trace, *make_standard_policy("pop", r), options);
+    const auto def = run_experiment(trace, *make_standard_policy("default", r), options);
     ASSERT_TRUE(pop.reached_target);
     ASSERT_TRUE(def.reached_target);
     pop_total += pop.time_to_target.to_seconds();
@@ -102,11 +105,11 @@ TEST(SchedulingComparisonTest, PopBeatsBaselinesOnAverageLunar) {
     RunnerOptions options;
     options.machines = 15;
     options.max_experiment_time = SimTime::hours(96);
-    pop_total +=
-        run_experiment(trace, spec_for(PolicyKind::Pop, r), options).time_to_target.to_seconds();
-    bandit_total += run_experiment(trace, spec_for(PolicyKind::Bandit, r), options)
+    pop_total += run_experiment(trace, *make_standard_policy("pop", r), options)
+                     .time_to_target.to_seconds();
+    bandit_total += run_experiment(trace, *make_standard_policy("bandit", r), options)
                         .time_to_target.to_seconds();
-    et_total += run_experiment(trace, spec_for(PolicyKind::EarlyTerm, r), options)
+    et_total += run_experiment(trace, *make_standard_policy("earlyterm", r), options)
                     .time_to_target.to_seconds();
   }
   EXPECT_LT(pop_total, bandit_total);
@@ -120,8 +123,8 @@ TEST(SchedulingComparisonTest, PopTerminatesNonLearnersAggressively) {
   options.machines = 4;
   options.max_experiment_time = SimTime::hours(96);
   options.stop_on_target = false;
-  const auto pop = run_experiment(trace, spec_for(PolicyKind::Pop, 1), options);
-  const auto def = run_experiment(trace, spec_for(PolicyKind::Default, 1), options);
+  const auto pop = run_experiment(trace, *make_standard_policy("pop", 1), options);
+  const auto def = run_experiment(trace, *make_standard_policy("default", 1), options);
 
   EXPECT_GT(pop.terminations, trace.jobs.size() / 3);
   EXPECT_EQ(def.terminations, 0u);
@@ -136,9 +139,9 @@ TEST(SchedulingComparisonTest, MoreMachinesNeverHurtPop) {
   RunnerOptions options;
   options.max_experiment_time = SimTime::hours(96);
   options.machines = 2;
-  const auto small = run_experiment(trace, spec_for(PolicyKind::Pop, 2), options);
+  const auto small = run_experiment(trace, *make_standard_policy("pop", 2), options);
   options.machines = 10;
-  const auto big = run_experiment(trace, spec_for(PolicyKind::Pop, 2), options);
+  const auto big = run_experiment(trace, *make_standard_policy("pop", 2), options);
   ASSERT_TRUE(small.reached_target);
   ASSERT_TRUE(big.reached_target);
   // Allow small scheduling noise but the trend must hold.
@@ -187,6 +190,49 @@ TEST(AdaptiveSearchTest, FeedbackImprovesPopulationQuality) {
   EXPECT_GT(adaptive_mean / kJobs, random_mean / kJobs);
 }
 
+/// The typed event stream, the headline results and the per-job stats of one
+/// run, as one comparable string.
+std::string journal(const ExperimentResult& result, const obs::RecordingSink& sink) {
+  std::ostringstream out;
+  for (const auto& event : sink.events) out << obs::render_line(event) << '\n';
+  out << result.reached_target << ' ' << result.time_to_target.to_seconds() << ' '
+      << result.winning_job << ' ' << result.best_perf << ' ' << result.total_time.to_seconds()
+      << ' ' << result.total_machine_time.to_seconds() << ' ' << result.suspends << ' '
+      << result.terminations << ' ' << result.jobs_started << '\n';
+  for (const auto& js : result.job_stats) {
+    out << js.job_id << ' ' << js.epochs_completed << ' ' << js.times_suspended << ' '
+        << js.execution_time.to_seconds() << ' ' << js.best_perf << '\n';
+  }
+  return out.str();
+}
+
+TEST(RunnerOptionsTest, CatalogReachesTheClusterSubstrate) {
+  // RunnerOptions is a ClusterOptions, so every cluster field — the node
+  // catalog included — reaches the substrate without a field-by-field copy.
+  workload::CifarWorkloadModel model;
+  const auto trace = reachable_trace(model, 30, 808);
+  RunnerOptions options;
+  options.substrate = Substrate::Cluster;
+  options.machines = 4;
+  options.max_experiment_time = SimTime::hours(96);
+  options.catalog.add({"standard", 2, 1.0, 1.0, false});
+  options.catalog.add({"fast", 2, 2.0, 2.0, false});
+
+  // Run through the runner, or straight on the cluster substrate.
+  const auto run = [&](RunnerOptions run_options, bool direct) {
+    obs::RecordingSink sink;
+    run_options.obs.sink = &sink;
+    const auto policy = make_standard_policy("pop", 5);
+    const auto result = direct ? cluster::run_cluster_experiment(trace, *policy, run_options)
+                               : run_experiment(trace, *policy, run_options);
+    return journal(result, sink);
+  };
+  const auto with_catalog = run(options, /*direct=*/false);
+  EXPECT_EQ(with_catalog, run(options, /*direct=*/true));
+  options.catalog = {};
+  EXPECT_NE(with_catalog, run(options, /*direct=*/false));
+}
+
 TEST(OverheadAccountingTest, SuspendSamplesMatchSuspendCount) {
   workload::LunarWorkloadModel model;
   const auto trace = reachable_trace(model, 40, 700);
@@ -196,7 +242,7 @@ TEST(OverheadAccountingTest, SuspendSamplesMatchSuspendCount) {
   options.overheads = cluster::lunar_criu_overhead_model();
   options.max_experiment_time = SimTime::hours(96);
   options.stop_on_target = false;
-  const auto result = run_experiment(trace, spec_for(PolicyKind::Pop, 3), options);
+  const auto result = run_experiment(trace, *make_standard_policy("pop", 3), options);
   EXPECT_EQ(result.suspends, result.suspend_samples.size());
   for (const auto& s : result.suspend_samples) {
     EXPECT_LE(s.latency.to_seconds(), 22.36);  // Fig. 10 bound

@@ -5,6 +5,10 @@
 #include <cmath>
 
 #include "core/experiment_runner.hpp"
+#include "core/policies/bandit_policy.hpp"
+#include "core/policies/default_policy.hpp"
+#include "core/policies/earlyterm_policy.hpp"
+#include "core/policies/pop_policy.hpp"
 #include "sim/trace_replay.hpp"
 
 namespace hyperdrive::core {
@@ -345,29 +349,6 @@ TEST(PopPolicyTest, PromisingJobsGetPriorityLabels) {
   const auto result = sim::replay_experiment(trace, policy, options);
   EXPECT_TRUE(result.reached_target);
   EXPECT_EQ(result.winning_job, 1u);
-}
-
-// ------------------------------------------------------------------ Specs --
-
-TEST(PolicySpecTest, MakePolicyProducesCorrectKinds) {
-  PolicySpec spec;
-  spec.kind = PolicyKind::Default;
-  EXPECT_EQ(make_policy(spec)->name(), "default");
-  spec.kind = PolicyKind::Bandit;
-  EXPECT_EQ(make_policy(spec)->name(), "bandit");
-  spec.kind = PolicyKind::EarlyTerm;
-  spec.earlyterm.predictor = make_default_predictor(1);
-  EXPECT_EQ(make_policy(spec)->name(), "earlyterm");
-  spec.kind = PolicyKind::Pop;
-  spec.pop.predictor = make_default_predictor(1);
-  EXPECT_EQ(make_policy(spec)->name(), "pop");
-}
-
-TEST(PolicySpecTest, ToStringNames) {
-  EXPECT_EQ(to_string(PolicyKind::Default), "default");
-  EXPECT_EQ(to_string(PolicyKind::Bandit), "bandit");
-  EXPECT_EQ(to_string(PolicyKind::EarlyTerm), "earlyterm");
-  EXPECT_EQ(to_string(PolicyKind::Pop), "pop");
 }
 
 }  // namespace

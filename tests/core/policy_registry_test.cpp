@@ -1,9 +1,10 @@
 // PolicyRegistry tests (DESIGN.md §13):
 //   * PolicyParams parsing, typed getters and unknown-key rejection;
 //   * the registry's built-in name set and construction errors;
-//   * golden-trace byte-identity: every pre-registry policy built by name is
-//     indistinguishable — event stream and results — from the old direct
-//     PolicySpec construction, barrier-wrapped or not;
+//   * golden-trace byte-identity: pop, bandit, earlyterm, default and
+//     hyperband built by name are indistinguishable — event stream and
+//     results — from direct construction out of their config structs,
+//     barrier-wrapped or not;
 //   * ASHA/PBT determinism: a parallel sweep over 30 fresh-noise seeds is
 //     byte-identical to the serial one;
 //   * PBT exploit/explore: clones happen on the cluster substrate, the clone
@@ -19,8 +20,12 @@
 
 #include "core/experiment_runner.hpp"
 #include "core/generators/hyperparameter_generator.hpp"
+#include "core/policies/bandit_policy.hpp"
 #include "core/policies/barrier_policy.hpp"
+#include "core/policies/default_policy.hpp"
+#include "core/policies/earlyterm_policy.hpp"
 #include "core/policies/hyperband_policy.hpp"
+#include "core/policies/pop_policy.hpp"
 #include "core/sweep_engine.hpp"
 #include "obs/sink.hpp"
 #include "workload/cifar_model.hpp"
@@ -89,19 +94,26 @@ TEST(PolicyRegistryTest, ParamsReachTheFactory) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identity: registry construction vs the old direct construction.
+// Byte-identity: registry construction vs direct construction.
 
-/// The pre-registry standard wiring: one default predictor shared by the
-/// predictor-backed policies, POP horizon = tmax.
-std::unique_ptr<SchedulingPolicy> direct_policy(PolicyKind kind, std::uint64_t seed,
+/// Each policy built from its config struct with defaults; the
+/// predictor-backed ones get the default predictor, POP horizon = tmax.
+std::unique_ptr<SchedulingPolicy> direct_policy(const std::string& name, std::uint64_t seed,
                                                 util::SimTime tmax) {
-  PolicySpec spec;
-  spec.kind = kind;
-  const auto predictor = make_default_predictor(seed);
-  spec.earlyterm.predictor = predictor;
-  spec.pop.predictor = predictor;
-  spec.pop.tmax = tmax;
-  return make_policy(spec);
+  if (name == "bandit") return std::make_unique<BanditPolicy>(BanditConfig{});
+  if (name == "hyperband") return std::make_unique<HyperbandPolicy>(HyperbandConfig{});
+  if (name == "earlyterm") {
+    EarlyTermConfig config;
+    config.predictor = make_default_predictor(seed);
+    return std::make_unique<EarlyTermPolicy>(std::move(config));
+  }
+  if (name == "pop") {
+    PopConfig config;
+    config.predictor = make_default_predictor(seed);
+    config.tmax = tmax;
+    return std::make_unique<PopPolicy>(std::move(config));
+  }
+  return std::make_unique<DefaultPolicy>();
 }
 
 /// Run `policy` on the high-fidelity cluster and render the full typed event
@@ -128,21 +140,11 @@ TEST(PolicyRegistryTest, RegistryMatchesDirectConstructionByteForByte) {
   workload::CifarWorkloadModel model;
   const auto trace = workload::reachable_trace(model, 20, 321);
   const auto tmax = util::SimTime::hours(48);
-  const std::pair<std::string, PolicyKind> pairs[] = {
-      {"default", PolicyKind::Default},
-      {"bandit", PolicyKind::Bandit},
-      {"earlyterm", PolicyKind::EarlyTerm},
-      {"pop", PolicyKind::Pop},
-  };
-  for (const auto& [name, kind] : pairs) {
+  for (const std::string name : {"default", "bandit", "earlyterm", "pop", "hyperband"}) {
     EXPECT_EQ(run_journal(trace, make_standard_policy(name, 7, tmax)),
-              run_journal(trace, direct_policy(kind, 7, tmax)))
+              run_journal(trace, direct_policy(name, 7, tmax)))
         << name;
   }
-  // hyperband never had a PolicySpec kind; its direct form is the config
-  // struct with defaults.
-  EXPECT_EQ(run_journal(trace, make_standard_policy("hyperband", 7, tmax)),
-            run_journal(trace, std::make_unique<HyperbandPolicy>(HyperbandConfig{})));
 }
 
 TEST(PolicyRegistryTest, BarrierWrapsAnyRegistryPolicyByteForByte) {
@@ -161,7 +163,7 @@ TEST(PolicyRegistryTest, BarrierWrapsAnyRegistryPolicyByteForByte) {
   EXPECT_EQ(run_journal(trace, std::make_unique<BarrierPolicy>(
                                    make_standard_policy("pop", 5, tmax))),
             run_journal(trace, std::make_unique<BarrierPolicy>(
-                                   direct_policy(PolicyKind::Pop, 5, tmax))));
+                                   direct_policy("pop", 5, tmax))));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "core/experiment_runner.hpp"
-#include "core/policies/hyperband_policy.hpp"
+#include "core/policy_registry.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/lunar_model.hpp"
 #include "workload/ptb_lstm_model.hpp"
@@ -21,16 +21,20 @@ enum class Sub { Replay, Cluster };
 
 using Combo = std::tuple<Pol, Wl, Sub>;
 
+std::string policy_name(Pol pol) {
+  switch (pol) {
+    case Pol::Default: return "default";
+    case Pol::Bandit: return "bandit";
+    case Pol::EarlyTerm: return "earlyterm";
+    case Pol::Pop: return "pop";
+    case Pol::Hyperband: return "hyperband";
+  }
+  return "?";
+}
+
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   const auto [pol, wl, sub] = info.param;
-  std::string s;
-  switch (pol) {
-    case Pol::Default: s += "default"; break;
-    case Pol::Bandit: s += "bandit"; break;
-    case Pol::EarlyTerm: s += "earlyterm"; break;
-    case Pol::Pop: s += "pop"; break;
-    case Pol::Hyperband: s += "hyperband"; break;
-  }
+  std::string s = policy_name(pol);
   s += '_';
   switch (wl) {
     case Wl::Cifar: s += "cifar"; break;
@@ -51,27 +55,10 @@ std::unique_ptr<workload::WorkloadModel> make_model(Wl wl) {
   return nullptr;
 }
 
-std::unique_ptr<SchedulingPolicy> make_test_policy(Pol pol, std::uint64_t seed) {
-  if (pol == Pol::Hyperband) return std::make_unique<HyperbandPolicy>();
-  PolicySpec spec;
-  switch (pol) {
-    case Pol::Default: spec.kind = PolicyKind::Default; break;
-    case Pol::Bandit: spec.kind = PolicyKind::Bandit; break;
-    case Pol::EarlyTerm: spec.kind = PolicyKind::EarlyTerm; break;
-    case Pol::Pop: spec.kind = PolicyKind::Pop; break;
-    case Pol::Hyperband: break;
-  }
-  const auto predictor = make_default_predictor(seed);
-  spec.earlyterm.predictor = predictor;
-  spec.pop.predictor = predictor;
-  spec.pop.tmax = util::SimTime::hours(96);
-  return make_policy(spec);
-}
-
 ExperimentResult run_combo(const Combo& combo, const workload::Trace& trace,
                            std::uint64_t seed) {
   const auto [pol, wl, sub] = combo;
-  const auto policy = make_test_policy(pol, seed);
+  const auto policy = make_standard_policy(policy_name(pol), seed, util::SimTime::hours(96));
   if (sub == Sub::Replay) {
     sim::ReplayOptions options;
     options.machines = 3;

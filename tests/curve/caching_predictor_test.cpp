@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "cluster/cluster.hpp"
-#include "core/experiment_runner.hpp"
+#include "core/policies/pop_policy.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/trace.hpp"
 
@@ -100,9 +100,9 @@ class AtomicCountingPredictor final : public CurvePredictor {
 };
 
 // N threads hammer one shared instance with overlapping keys. Run under
-// TSan in CI (the sweep layer shares a CachingPredictor across worker
-// threads whenever one PolicySpec is reused, so this must be data-race
-// free, not just crash-free).
+// TSan in CI (sweep cells share a CachingPredictor across worker threads
+// whenever their policies are built from one PolicyContext::predictor, so
+// this must be data-race free, not just crash-free).
 TEST(CachingPredictorTest, ConcurrentHammerStaysConsistent) {
   auto inner = std::make_shared<AtomicCountingPredictor>();
   CachingPredictor cached(inner, 16);
@@ -330,27 +330,26 @@ Fig07Cell run_fig07_cell(std::uint64_t seed, bool warm_start) {
   options.warm_start = warm_start;
   auto cached = std::make_shared<CachingPredictor>(make_mcmc_predictor(config), options);
 
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Pop;
-  spec.pop.predictor = cached;
-  spec.pop.tmax = util::SimTime::hours(48);
+  core::PopConfig pop;
+  pop.predictor = cached;
+  pop.tmax = util::SimTime::hours(48);
   // Decide every 20 epochs: enough history per decision that the posterior
   // is decisive for the curated winner/loser split above.
-  spec.pop.boundary = 20;
+  pop.boundary = 20;
   // The gate property is about kill/keep decisions. Opportunistic rotation
   // is a scheduling *preference* derived from promising-set membership,
   // which rounds S * p at 0.5 — a knife-edge any sampler's noise (warm or
   // cold vs a second cold run with another seed) can land either side of.
   // DESIGN.md §11 scopes the warm-start determinism contract accordingly.
-  spec.pop.rotate_opportunistic = false;
-  const auto policy = core::make_policy(spec);
+  pop.rotate_opportunistic = false;
+  core::PopPolicy policy(std::move(pop));
 
   cluster::ClusterOptions copts;
   copts.machines = 2;
   copts.seed = seed;
   copts.record_event_log = true;
   cluster::HyperDriveCluster cluster(trace, copts);
-  const auto result = cluster.run(*policy);
+  const auto result = cluster.run(policy);
 
   Fig07Cell out;
   out.event_log = cluster.event_log();
