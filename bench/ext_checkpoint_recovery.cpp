@@ -20,6 +20,7 @@
 
 #include "core/study/coordinator.hpp"
 #include "core/study/study_manager.hpp"
+#include "obs/sink.hpp"
 
 using namespace hyperdrive;
 
@@ -31,9 +32,14 @@ double wall_ms(const std::chrono::steady_clock::time_point& from) {
       .count();
 }
 
-bool logs_equal(const core::MultiStudyResult& a, const core::MultiStudyResult& b) {
-  return a.event_log == b.event_log && a.total_time == b.total_time &&
-         a.rebalances == b.rebalances;
+/// A run's event stream minus CheckpointWritten, which only checkpointed runs
+/// emit.
+std::vector<obs::TraceEvent> timeline(const obs::RecordingSink& sink) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& event : sink.events) {
+    if (event.kind != obs::EventKind::CheckpointWritten) out.push_back(event);
+  }
+  return out;
 }
 
 }  // namespace
@@ -70,7 +76,6 @@ int main(int argc, char** argv) {
     options.machines = kMachines;
     options.arbitration = core::ArbitrationMode::FairShare;
     options.arbitration_interval = util::SimTime::minutes(5);
-    options.record_event_log = true;
     options.seed = 50 + r;
 
     core::StudySpec sweep;
@@ -99,12 +104,25 @@ int main(int argc, char** argv) {
       }
     };
 
+    // Every run records into `sink`, emptied by run_options() before it starts.
+    obs::RecordingSink sink;
+    const auto run_options = [&](core::StudyManagerOptions o) {
+      sink.events.clear();
+      o.obs.sink = &sink;
+      return o;
+    };
+
     // Reference: plain StudyManager, no checkpoint machinery at all.
     auto t0 = std::chrono::steady_clock::now();
-    core::StudyManager reference(options);
+    core::StudyManager reference(run_options(options));
     for (const auto& spec : specs) admit(reference, spec);
     const auto ref = reference.run();
     reference_ms += wall_ms(t0);
+    const auto ref_events = timeline(sink);
+    const auto matches_reference = [&](const core::MultiStudyResult& run) {
+      return timeline(sink) == ref_events && run.total_time == ref.total_time &&
+             run.rebalances == ref.rebalances;
+    };
 
     // Durable frames at each cadence.
     for (std::size_t c = 0; c < cadences_s.size(); ++c) {
@@ -113,11 +131,12 @@ int main(int argc, char** argv) {
       ckpt.dir = ckpt_dir.string();
       ckpt.every = util::SimTime::seconds(cadences_s[c]);
       t0 = std::chrono::steady_clock::now();
-      const auto run = core::run_recoverable_multi_study(specs, options, ckpt, admit);
+      const auto run =
+          core::run_recoverable_multi_study(specs, run_options(options), ckpt, admit);
       arms[c].wall_ms += wall_ms(t0);
       arms[c].frames += static_cast<double>(run.recovery.checkpoints_written);
       arms[c].bytes_total += static_cast<double>(run.recovery.checkpoint_bytes_total);
-      arms[c].identical += logs_equal(ref, run.result) ? 1 : 0;
+      arms[c].identical += matches_reference(run.result) ? 1 : 0;
     }
 
     // Mid-run coordinator crash, in-memory recovery (replay from the frame).
@@ -128,10 +147,10 @@ int main(int argc, char** argv) {
     core::CheckpointOptions mem;
     mem.every = util::SimTime::seconds(300.0);
     t0 = std::chrono::steady_clock::now();
-    const auto run = core::run_recoverable_multi_study(specs, crashed, mem, admit);
+    const auto run = core::run_recoverable_multi_study(specs, run_options(crashed), mem, admit);
     crash_arm.wall_ms += wall_ms(t0);
     crash_arm.frames += static_cast<double>(run.recovery.checkpoints_written);
-    crash_arm.identical += logs_equal(ref, run.result) ? 1 : 0;
+    crash_arm.identical += matches_reference(run.result) ? 1 : 0;
   }
   std::filesystem::remove_all(ckpt_dir);
 

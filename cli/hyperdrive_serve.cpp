@@ -6,8 +6,8 @@
 // resumes all in-flight studies byte-identically on restart.
 //
 //   hyperdrive_serve --state-dir /var/lib/hd --port 7777
-//   hyperdrive_serve --state-dir d --port 0 --port-file p \
-//       --max-running 2 --tenant-max-slots 8 --arbitration fair
+//   hyperdrive_serve --state-dir d --port 0 --port-file p --max-running 2
+//                    --tenant-max-slots 8 --arbitration fair   (one command)
 #include <csignal>
 #include <cstdio>
 #include <filesystem>

@@ -1,8 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -62,11 +60,6 @@ HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOption
       health_(options_.machines, options_.health),
       bus_(simulation_, bus_options_from(options_), options_.seed) {
   tenant_ = external != nullptr;
-  // Tenant clusters inherit one shared scope from the StudyManager; stamp the
-  // per-study label onto it so every emitted event stays attributable.
-  if (options_.obs.study.empty() && !options_.study_label.empty()) {
-    options_.obs.study = options_.study_label;
-  }
   lease_target_ = catalog_.full();
   slots_accrued_until_ = simulation_.now();
   if (options_.initial_lease.total() > 0 &&
@@ -1237,20 +1230,10 @@ void HyperDriveCluster::finish() {
 }
 
 void HyperDriveCluster::record(obs::TraceEvent event) {
+  if (options_.obs.sink == nullptr) return;
   event.time = simulation_.now();
-  // The structured sink observes first; it sees exactly the events the legacy
-  // log would render, whether or not the legacy log is on.
-  if (options_.obs.sink != nullptr) options_.obs.emit(event);
-  if (!options_.record_event_log && !log_sink) return;
-  std::ostringstream os;
-  os << "t=" << std::fixed << std::setprecision(9) << event.time.to_seconds() << ' ';
-  if (!options_.study_label.empty()) os << "study=" << options_.study_label << ' ';
-  os << obs::legacy_text(event);
-  if (log_sink) {
-    log_sink(os.str());
-  } else {
-    event_log_.push_back(os.str());
-  }
+  event.study = options_.study_label;
+  options_.obs.emit(event);
 }
 
 core::ExperimentResult HyperDriveCluster::run(core::SchedulingPolicy& policy) {
@@ -1785,14 +1768,10 @@ void HyperDriveCluster::encode_state(util::ByteWriter& w) const {
   w.u64(lease_grants_);
   w.u64(lease_reclaims_);
 
-  // Event log digest: order-sensitive rolling CRC mix, no concatenation.
-  w.u64(event_log_.size());
-  std::uint64_t digest = 0;
-  for (const std::string& line : event_log_) {
-    digest = digest * 1099511628211ULL +
-             crc32(reinterpret_cast<const std::uint8_t*>(line.data()), line.size());
-  }
-  w.u64(digest);
+  // Zero count and digest words where the removed string event log's were,
+  // so HDCK v2 frames keep their layout and bytes.
+  w.u64(0);
+  w.u64(0);
 }
 
 core::ExperimentResult run_cluster_experiment(const workload::Trace& trace,

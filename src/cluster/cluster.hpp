@@ -31,7 +31,7 @@
 //     double-count.
 // Every fault decision is drawn from the plan's seeded RNG, so a run is a
 // pure function of (trace, seed, plan) — the golden-trace determinism tests
-// replay the optional event_log() byte-for-byte.
+// compare the event stream an attached obs sink records, byte-for-byte.
 #pragma once
 
 #include <functional>
@@ -95,24 +95,22 @@ struct ClusterOptions : sim::ReplayOptions {
   /// Off by default: the cluster is then byte-identical to the health-less
   /// behavior (no heartbeat traffic, no extra events).
   HealthOptions health;
-  /// Record a human-readable, fully deterministic event log (crashes,
-  /// restarts, starts/resumes, decisions, recoveries) — the golden-trace
-  /// determinism tests compare it byte-for-byte across runs.
-  bool record_event_log = false;
   /// Instrumentation handle (DESIGN.md §10). A detached scope (the default)
-  /// costs one null test per emit site; an attached sink observes every event
-  /// the legacy log would record — as typed obs::TraceEvent records — without
-  /// perturbing the simulation. An attached registry receives end-of-run
-  /// counters in finalize_result().
+  /// costs one null test per emit site; an attached sink records the run's
+  /// deterministic event stream (crashes, restarts, starts/resumes,
+  /// decisions, recoveries) as typed obs::TraceEvent records without
+  /// perturbing the simulation — the stream the golden-trace tests compare.
+  /// An attached registry receives end-of-run counters in finalize_result().
   obs::Scope obs;
   // --- multi-study tenancy (DESIGN.md §9) ----------------------------------
   /// Per-class slots online at start when the cluster is a StudyManager
   /// tenant; the remaining machines start parked (leasable later). Empty =
   /// all online, the single-tenant behavior.
   CapacityView initial_lease;
-  /// Study name prefixed into event-log lines ("study=<name>") so a merged
-  /// multi-tenant log stays attributable. Empty (default) adds nothing —
-  /// single-study logs stay byte-identical to the single-tenant path.
+  /// Study name stamped onto every emitted event (rendered "study=<name>")
+  /// so a merged multi-tenant stream stays attributable. Empty (default)
+  /// adds nothing — single-study streams stay byte-identical to the
+  /// single-tenant path.
   std::string study_label;
 };
 
@@ -181,9 +179,6 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Fires once when the study finishes (target, quiescence, timeout,
   /// cancel).
   std::function<void()> on_finished;
-  /// When set, event-log lines go to this sink (the StudyManager's merged
-  /// log) instead of the local event_log().
-  std::function<void(std::string)> log_sink;
 
   /// Post-run access to the framework components (overhead studies, tests).
   [[nodiscard]] const AppStatDb& app_stat_db() const noexcept { return db_; }
@@ -201,10 +196,6 @@ class HyperDriveCluster final : public core::SchedulerOps {
   }
   /// Node-health verdicts and detection counters (gray-failure layer).
   [[nodiscard]] const HealthMonitor& health_monitor() const noexcept { return health_; }
-  /// Deterministic event log (empty unless ClusterOptions::record_event_log).
-  [[nodiscard]] const std::vector<std::string>& event_log() const noexcept {
-    return event_log_;
-  }
 
   /// Serialize everything that determines the remainder of this cluster's
   /// run — job/machine/lease state, RNG streams, AppStatDb fingerprints, bus
@@ -307,10 +298,9 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Roll a job's progress back to its newest durable snapshot (or scratch)
   /// and requeue it; epochs since then count as lost and are re-trained.
   void rollback_to_durable(ManagedJob& job);
-  /// The single instrumentation funnel: stamp the simulation time, hand the
-  /// event to the attached obs sink (if any), then render the legacy
-  /// event-log line when record_event_log/log_sink ask for it. Sites pass a
-  /// POD TraceEvent, so a run with neither sink nor log builds no strings.
+  /// The single instrumentation funnel: with an obs sink attached, stamp the
+  /// simulation time and study label and emit. Sites pass a POD TraceEvent,
+  /// so a run without a sink builds no strings.
   void record(obs::TraceEvent event);
 
   // --- gray-failure detection & mitigation (DESIGN.md §7) ------------------
@@ -363,7 +353,6 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Continuation ground truth minted by clone_job (PBT exploit, DESIGN.md
   /// §13); owned here because the input trace is frozen and shared.
   std::vector<std::unique_ptr<workload::TraceJob>> cloned_jobs_;
-  std::vector<std::string> event_log_;
   bool done_ = false;
   // --- tenant mode state (DESIGN.md §9) ------------------------------------
   /// True when constructed against an external (StudyManager-owned)

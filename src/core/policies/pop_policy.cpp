@@ -220,7 +220,7 @@ void PopPolicy::note_promotions(SchedulerOps& ops, const std::set<JobId>& previo
     obs::TraceEvent event(obs::EventKind::PolicyPromote);
     event.time = ops.now();
     event.job = static_cast<std::int64_t>(id);
-    config_.obs.emit(std::move(event));
+    config_.obs.emit(event);
   }
 }
 

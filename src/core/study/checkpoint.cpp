@@ -29,7 +29,7 @@ void write_options(util::ByteWriter& w, const StudyManagerOptions& o) {
   w.u8(static_cast<std::uint8_t>(o.arbitration));
   w.f64(o.arbitration_interval.to_seconds());
   w.f64(o.max_time.to_seconds());
-  w.u8(o.record_event_log ? 1 : 0);
+  w.u8(0);  // retired flag byte (the string event log), kept so v2 frames keep their bytes
   w.u64(o.seed);
   w.u64(o.deadline_boost_slots);
   w.f64(o.deadline_confidence);
@@ -68,8 +68,7 @@ bool read_options(util::ByteReader& r, StudyManagerOptions& o) {
   o.arbitration_interval = util::SimTime::seconds(d);
   if (!r.f64(d)) return false;
   o.max_time = util::SimTime::seconds(d);
-  if (!r.u8(b)) return false;
-  o.record_event_log = b != 0;
+  if (!r.u8(b)) return false;  // retired flag byte, always zero
   if (!r.u64(o.seed)) return false;
   if (!r.u64(u)) return false;
   o.deadline_boost_slots = static_cast<std::size_t>(u);

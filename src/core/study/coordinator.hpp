@@ -16,9 +16,9 @@
 // ultimately to a cold restart from the recorded study specs.
 //
 // Because the final surviving incarnation replays the whole timeline, its
-// event log, MultiStudyResult, CSV and trace artifacts are byte-identical to
-// an uninterrupted run — the headline invariant the Recovery test suites and
-// the CI crash-resume smoke job hold this file to.
+// event stream, MultiStudyResult, CSV and trace artifacts are byte-identical
+// to an uninterrupted run — the headline invariant the Recovery test suites
+// and the CI crash-resume smoke job hold this file to.
 #pragma once
 
 #include <cstdint>

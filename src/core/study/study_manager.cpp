@@ -375,7 +375,7 @@ void StudyManager::reconcile_autoscaler(const std::vector<cluster::CapacityView>
     event.time = sim_->now();
     event.detail = "class=" + catalog_.at(action.node_class).name +
                    " count=" + std::to_string(action.count);
-    options_.obs.emit(std::move(event));
+    options_.obs.emit(event);
     if (options_.obs.metrics != nullptr) {
       options_.obs.metrics
           ->counter(acquire ? "elastic.nodes_acquired" : "elastic.nodes_released")
@@ -478,6 +478,45 @@ void StudyManager::on_study_finished(std::size_t index) {
   }
 }
 
+void StudyManager::arbitration_tick() {
+  arbitration_armed_ = false;
+  if (all_finished()) return;
+  rebalance(/*count_tick=*/true);
+  arbitration_event_ = sim_->schedule_after(options_.arbitration_interval,
+                                            [this] { arbitration_tick(); },
+                                            /*priority=*/20);
+  arbitration_armed_ = true;
+}
+
+// Priority 30: after cancel-at and the arbitration tick of the same instant,
+// so a checkpoint always sees the tick's final state. The CheckpointWritten
+// event rides the deterministic timeline: it fires at the same tick in every
+// run with the same cadence, interrupted or not, so resumed traces stay
+// byte-identical.
+void StudyManager::checkpoint_tick() {
+  checkpoint_armed_ = false;
+  if (all_finished()) return;
+  ManagerCheckpoint cp;
+  cp.sequence = ++checkpoint_seq_;
+  cp.tick = sim_->now();
+  cp.rebalances = rebalances_;
+  cp.state = capture();
+  obs::TraceEvent event(obs::EventKind::CheckpointWritten);
+  event.time = sim_->now();
+  event.detail = "seq=" + std::to_string(cp.sequence) +
+                 " bytes=" + std::to_string(cp.state.size());
+  options_.obs.emit(event);
+  if (options_.on_checkpoint && !options_.on_checkpoint(std::move(cp))) {
+    exit_ = ManagerExit::Halted;
+    sim_->stop();
+    return;
+  }
+  checkpoint_event_ = sim_->schedule_after(options_.checkpoint_every,
+                                           [this] { checkpoint_tick(); },
+                                           /*priority=*/30);
+  checkpoint_armed_ = true;
+}
+
 bool StudyManager::all_finished() const {
   return std::all_of(tenants_.begin(), tenants_.end(),
                      [](const auto& t) { return t->finished(); });
@@ -517,21 +556,16 @@ MultiStudyResult StudyManager::run() {
     // Tenants share the node-level fault plan; coordinator crashes in it are
     // the manager's business (scheduled below) and are ignored by clusters.
     co.fault_plan = options_.fault_plan;
-    // A lone study writes unprefixed lines — byte-identical to the
-    // single-tenant cluster's own event log.
+    // A lone study emits unlabelled events — byte-identical to the
+    // single-tenant cluster's own stream.
     co.study_label = tenants_.size() > 1 ? t.spec.name : "";
-    // One shared sink/registry; the cluster constructor stamps the per-study
-    // label onto its scope so every event stays attributable.
+    // One shared sink/registry; each tenant stamps its study label onto the
+    // events it emits so the merged stream stays attributable.
     co.obs = options_.obs;
     // Weight-migration hook (inert unless the study's policy calls
     // clone_job; only PBT does).
     if (t.model) co.explore = make_model_explore(t.model);
     t.cluster = std::make_unique<cluster::HyperDriveCluster>(t.trace, co, *sim_);
-    if (options_.record_event_log) {
-      t.cluster->log_sink = [this](std::string line) {
-        event_log_.push_back(std::move(line));
-      };
-    }
     t.cluster->on_slot_released = [this] { pump(); };
     t.cluster->on_finished = [this, i] { on_study_finished(i); };
   }
@@ -557,48 +591,15 @@ MultiStudyResult StudyManager::run() {
   // capacity are worth running with nobody to arbitrate against.
   if ((tenants_.size() > 1 || options_.arbitration == ArbitrationMode::Cost) &&
       options_.arbitration != ArbitrationMode::StaticPartition) {
-    const std::function<void()> tick = [this, &tick] {
-      arbitration_armed_ = false;
-      if (all_finished()) return;
-      rebalance(/*count_tick=*/true);
-      arbitration_event_ = sim_->schedule_after(options_.arbitration_interval, tick,
-                                                /*priority=*/20);
-      arbitration_armed_ = true;
-    };
-    arbitration_event_ = sim_->schedule_after(options_.arbitration_interval, tick,
+    arbitration_event_ = sim_->schedule_after(options_.arbitration_interval,
+                                              [this] { arbitration_tick(); },
                                               /*priority=*/20);
     arbitration_armed_ = true;
   }
 
-  // Periodic checkpoint capture (priority 30: after cancel-at and the
-  // arbitration tick of the same instant, so a checkpoint always sees the
-  // tick's final state). The CheckpointWritten event rides the deterministic
-  // timeline: it fires at the same tick in every run with the same cadence,
-  // interrupted or not, so resumed traces stay byte-identical.
-  const std::function<void()> checkpoint_tick = [this, &checkpoint_tick] {
-    checkpoint_armed_ = false;
-    if (all_finished()) return;
-    ManagerCheckpoint cp;
-    cp.sequence = ++checkpoint_seq_;
-    cp.tick = sim_->now();
-    cp.rebalances = rebalances_;
-    cp.state = capture();
-    obs::TraceEvent event(obs::EventKind::CheckpointWritten);
-    event.time = sim_->now();
-    event.detail = "seq=" + std::to_string(cp.sequence) +
-                   " bytes=" + std::to_string(cp.state.size());
-    options_.obs.emit(std::move(event));
-    if (options_.on_checkpoint && !options_.on_checkpoint(std::move(cp))) {
-      exit_ = ManagerExit::Halted;
-      sim_->stop();
-      return;
-    }
-    checkpoint_event_ = sim_->schedule_after(options_.checkpoint_every, checkpoint_tick,
-                                             /*priority=*/30);
-    checkpoint_armed_ = true;
-  };
   if (options_.checkpoint_every > util::SimTime::zero()) {
-    checkpoint_event_ = sim_->schedule_after(options_.checkpoint_every, checkpoint_tick,
+    checkpoint_event_ = sim_->schedule_after(options_.checkpoint_every,
+                                             [this] { checkpoint_tick(); },
                                              /*priority=*/30);
     checkpoint_armed_ = true;
   }
@@ -640,7 +641,6 @@ MultiStudyResult StudyManager::run() {
 
   MultiStudyResult result;
   result.rebalances = rebalances_;
-  result.event_log = std::move(event_log_);
   for (auto& t : tenants_) {
     StudyOutcome outcome;
     outcome.spec = t->spec;
@@ -673,15 +673,10 @@ std::vector<std::uint8_t> StudyManager::capture() const {
   for (const char k : boost_key_) w.u8(static_cast<std::uint8_t>(k));
   w.u32(static_cast<std::uint32_t>(boost_targets_.size()));
   for (const std::size_t t : boost_targets_) w.u64(t);
-  // Merged event-log digest (order-sensitive): any divergence in the golden
-  // trace up to this tick fails the resume verification.
-  w.u64(event_log_.size());
-  std::uint64_t digest = 0;
-  for (const std::string& line : event_log_) {
-    digest = digest * 1099511628211ULL +
-             cluster::crc32(reinterpret_cast<const std::uint8_t*>(line.data()), line.size());
-  }
-  w.u64(digest);
+  // Zero count and digest words where the removed string event log's were,
+  // so HDCK v2 frames keep their layout and bytes.
+  w.u64(0);
+  w.u64(0);
   w.u32(static_cast<std::uint32_t>(tenants_.size()));
   for (const auto& t : tenants_) {
     w.str(t->spec.name);

@@ -24,7 +24,7 @@
 // machinery) and requeued inside its study.
 //
 // Determinism: a multi-study run is a pure function of (specs, options) —
-// the merged event log is byte-identical across runs and thread counts.
+// the merged event stream is byte-identical across runs and thread counts.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +99,6 @@ struct StudyManagerOptions {
   util::SimTime arbitration_interval = util::SimTime::minutes(10);
   /// Hard stop for the whole multi-study run (per-study Tmax still applies).
   util::SimTime max_time = util::SimTime::infinity();
-  /// Record the merged per-study event log (golden-trace determinism tests).
-  bool record_event_log = false;
   std::uint64_t seed = 1;
   /// DeadlineAware: slots transferred to an urgent study per tick.
   std::size_t deadline_boost_slots = 2;
@@ -152,8 +150,6 @@ struct MultiStudyResult {
   /// price over the run — includes acquired-but-idle capacity, unlike the
   /// per-study chargeback in StudyRow::spend_usd (DESIGN.md §15).
   double spend_usd = 0.0;
-  /// Merged deterministic event log (empty unless record_event_log).
-  std::vector<std::string> event_log;
 
   /// Roll the outcomes up into one ExperimentResult: counters summed,
   /// job_stats concatenated (tagged with their study), reached_target only
@@ -227,6 +223,11 @@ class StudyManager {
   /// (round-robin per node class).
   void pump();
   void on_study_finished(std::size_t index);
+  /// Periodic arbitration tick: rebalance, then re-arm one interval later.
+  void arbitration_tick();
+  /// Periodic checkpoint tick: capture, emit CheckpointWritten, hand the
+  /// frame to on_checkpoint, then re-arm one cadence later.
+  void checkpoint_tick();
   [[nodiscard]] bool all_finished() const;
   /// Serialize the full resumable coordinator state (manager bookkeeping +
   /// every tenant's cluster state) into the opaque checkpoint fingerprint.
@@ -241,7 +242,6 @@ class StudyManager {
   /// Budget-capped capacity acquisition (created in run(); DESIGN.md §15).
   std::unique_ptr<cluster::Autoscaler> autoscaler_;
   std::unique_ptr<sim::Simulation> sim_;
-  std::vector<std::string> event_log_;
   sim::EventHandle arbitration_event_ = 0;
   bool arbitration_armed_ = false;
   /// DeadlineAware: last boosted split and the (finished, urgent) topology

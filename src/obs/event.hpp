@@ -2,9 +2,9 @@
 // §10). Every scheduling-relevant occurrence in the system (job lifecycle,
 // recovery actions, gray-failure transitions, lease protocol steps, policy
 // promotions, predictor activity) is one TraceEvent record emitted through an
-// obs::Scope. The legacy golden-trace text lines are a *rendering* of these
-// records (legacy_text / render_line below), so attaching a structured sink
-// can never change what the byte-identity tests compare.
+// obs::Scope. The sink's stream is the only event record: golden-trace tests
+// compare its rendering (legacy_text / render_line below), the same stream
+// users export with --trace-out.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +15,8 @@
 
 namespace hyperdrive::obs {
 
-/// Everything the layers report. The first block mirrors the cluster's
-/// event-log lines one-to-one; the second block is only visible through a
-/// structured sink (no legacy line ever existed for it, and inventing one
-/// would break golden-trace byte-identity).
+/// Everything the layers report, grouped by emitter; a quoted comment is the
+/// kind's legacy_text rendering.
 enum class EventKind {
   // --- cluster job lifecycle ----------------------------------------------
   JobStart,          ///< "start job=J machine=M"
@@ -59,12 +57,12 @@ enum class EventKind {
   SpotPreempted,  ///< "spot-preempted machine=M"
   NodeAcquired,   ///< "node-acquired <detail>" (detail="class=<name> count=N")
   NodeReleased,   ///< "node-released <detail>" (detail="class=<name> count=N")
-  // --- structured-only events (no legacy event-log line) -------------------
+  // --- policy, predictor and log bridge ------------------------------------
   PolicyPromote,      ///< job entered a policy's promising set (POP §3.2)
   PredictorFit,       ///< a learning-curve posterior was computed (cache miss)
   PredictorCacheHit,  ///< a memoized posterior was served (§5.2 caching)
   LogMessage,         ///< a util::log line routed through the obs bridge
-  // --- coordinator crash-recovery (DESIGN.md §12; structured-only) ----------
+  // --- coordinator crash-recovery (DESIGN.md §12) ---------------------------
   // CheckpointWritten rides the deterministic timeline (it fires at a sim
   // tick in every run, interrupted or not); the rest describe one concrete
   // process's recovery journey and are emitted only through the coordinator's
@@ -75,7 +73,7 @@ enum class EventKind {
   CoordinatorCrash,    ///< the coordinator died (in-sim CoordinatorCrashEvent)
   CoordinatorResume,   ///< replay caught up with a loaded checkpoint
   ColdRestart,         ///< no usable checkpoint; restarting from study specs
-  // --- service front-end (DESIGN.md §14; structured-only) -------------------
+  // --- service front-end (DESIGN.md §14) ------------------------------------
   // Wall-clock events of the hyperdrive_serve admission path; `job` carries
   // the submission id and they never touch a study's deterministic timeline.
   StudySubmitted,  ///< a submission arrived (detail = "tenant=<t>")
@@ -125,15 +123,13 @@ struct TraceEvent {
   [[nodiscard]] bool operator==(const TraceEvent&) const = default;
 };
 
-/// The legacy event-log body for an event — byte-for-byte the string the
-/// pre-obs cluster passed to log_event ("epoch job=3 epoch=7"). Structured-
-/// only kinds render a reasonable body of the same style; they never reach
-/// the legacy log.
+/// The text body of an event ("epoch job=3 epoch=7") — byte-for-byte the
+/// line vocabulary of the cluster's original string event log, which every
+/// golden trace was recorded in.
 [[nodiscard]] std::string legacy_text(const TraceEvent& event);
 
-/// The full legacy event-log line: "t=<seconds, 9 decimals> [study=<label> ]
-/// <legacy_text>" — exactly what HyperDriveCluster::event_log() stores and
-/// the golden-trace determinism tests compare.
+/// One timeline line: "t=<seconds, 9 decimals> [study=<label> ]
+/// <legacy_text>" — what the golden-trace determinism tests compare.
 [[nodiscard]] std::string render_line(const TraceEvent& event);
 
 }  // namespace hyperdrive::obs

@@ -11,8 +11,8 @@ namespace hyperdrive::obs {
 
 namespace {
 
-/// Event times use the legacy log's 9-decimal precision so a timeline row
-/// and the corresponding event-log line agree on the timestamp bytes.
+/// Event times use render_line's 9-decimal precision so a timeline row and
+/// the golden-trace line of the same event agree on the timestamp bytes.
 std::string fmt_time(util::SimTime t) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9f", t.to_seconds());
@@ -29,7 +29,14 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {  // JSON forbids raw control bytes
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   return out;

@@ -6,6 +6,9 @@
 // logger without recompiling.
 #pragma once
 
+#include <string>
+#include <utility>
+
 #include "obs/scope.hpp"
 #include "util/log.hpp"
 

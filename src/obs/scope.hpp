@@ -6,11 +6,9 @@
 // the subsystem to (DESIGN.md §10).
 //
 // Scope is a small copyable value, not an owner: the sink and registry must
-// outlive every component the scope was handed to.
+// outlive every component the scope was handed to. Events carry their own
+// study label; tenant clusters stamp it from ClusterOptions::study_label.
 #pragma once
-
-#include <string>
-#include <utility>
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
@@ -21,26 +19,11 @@ namespace hyperdrive::obs {
 struct Scope {
   EventSink* sink = nullptr;
   MetricsRegistry* metrics = nullptr;
-  /// Study label stamped onto emitted events (multi-tenant attribution);
-  /// empty outside StudyManager runs.
-  std::string study;
 
-  [[nodiscard]] bool attached() const noexcept { return sink != nullptr; }
-
-  /// Emit one event, stamping the scope's study label. Call sites that build
-  /// a non-trivial event should gate on attached() first; the null check
-  /// here keeps even unguarded sites safe.
-  void emit(TraceEvent event) const {
-    if (sink == nullptr) return;
-    if (event.study.empty()) event.study = study;
-    sink->on_event(event);
-  }
-
-  /// Derive a tenant scope carrying `label` (same sink and registry).
-  [[nodiscard]] Scope labelled(std::string label) const {
-    Scope out = *this;
-    out.study = std::move(label);
-    return out;
+  /// Emit one event. Call sites that build a non-trivial event should test
+  /// `sink` first; the null check here keeps even unguarded sites safe.
+  void emit(const TraceEvent& event) const {
+    if (sink != nullptr) sink->on_event(event);
   }
 };
 

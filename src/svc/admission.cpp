@@ -109,6 +109,7 @@ std::optional<std::uint64_t> AdmissionController::next_runnable() {
         break;
       }
       case core::ArbitrationMode::DeadlineAware:
+      case core::ArbitrationMode::Cost:  // cost extends deadline-aware
         if (it->deadline.to_seconds() < best->deadline.to_seconds()) best = it;
         break;
     }

@@ -49,7 +49,8 @@ struct AdmissionOptions {
   /// Dequeue order across tenants when capacity frees up:
   ///   static    strict FIFO (submission order);
   ///   fair      tenant holding the fewest running slots first;
-  ///   deadline  earliest study deadline first (none = last).
+  ///   deadline  earliest study deadline first (none = last);
+  ///   cost      as deadline (cost arbitration extends deadline-aware).
   /// Ties always break by submission order.
   core::ArbitrationMode arbitration = core::ArbitrationMode::FairShare;
 };

@@ -15,7 +15,9 @@
 #include "cluster/cluster.hpp"
 #include "cluster/node_catalog.hpp"
 #include "core/policies/default_policy.hpp"
+#include "obs/sink.hpp"
 #include "sim/simulation.hpp"
+#include "support/timeline.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::cluster {
@@ -226,15 +228,7 @@ ClusterOptions spot_options(std::size_t machines) {
   options.overheads = cifar_overhead_model();
   options.epoch_jitter_sigma = 0.0;
   options.seed = 11;
-  options.record_event_log = true;
   return options;
-}
-
-bool log_contains(const HyperDriveCluster& cluster, const std::string& needle) {
-  for (const std::string& line : cluster.event_log()) {
-    if (line.find(needle) != std::string::npos) return true;
-  }
-  return false;
 }
 
 TEST(ElasticSpotTest, BusyMachineDrainsThroughCleanMigrationNeverAKill) {
@@ -245,6 +239,8 @@ TEST(ElasticSpotTest, BusyMachineDrainsThroughCleanMigrationNeverAKill) {
   preemption.machine = 3;
   preemption.at = SimTime::seconds(90);  // mid epoch 2: machine 3 is busy
   options.fault_plan.spot_preemptions.push_back(preemption);
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
   HyperDriveCluster cluster(trace, options, sim);
   core::DefaultPolicy policy;
   cluster.start(policy);
@@ -254,8 +250,8 @@ TEST(ElasticSpotTest, BusyMachineDrainsThroughCleanMigrationNeverAKill) {
   const auto result = cluster.collect();
   EXPECT_EQ(cluster.fault_stats().spot_warnings, 1u);
   EXPECT_EQ(cluster.fault_stats().spot_preemptions, 1u);
-  EXPECT_TRUE(log_contains(cluster, "spot-warning machine=3"));
-  EXPECT_TRUE(log_contains(cluster, "migrate") && log_contains(cluster, "spot"));
+  EXPECT_TRUE(timeline_contains(sink, "spot-warning machine=3"));
+  EXPECT_TRUE(timeline_contains(sink, "migrate") && timeline_contains(sink, "spot"));
   // The drain is the straggler-migration path: a clean snapshot suspend —
   // never a kill, never a lost epoch.
   EXPECT_GE(result.recovery.jobs_migrated, 1u);
@@ -278,6 +274,8 @@ TEST(ElasticSpotTest, TooShortWarningYanksCrashStyleButJobsStillFinish) {
   preemption.at = SimTime::seconds(90);
   preemption.warning = SimTime::seconds(1);  // cannot drain a mid-epoch job
   options.fault_plan.spot_preemptions.push_back(preemption);
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
   HyperDriveCluster cluster(trace, options, sim);
   core::DefaultPolicy policy;
   cluster.start(policy);
@@ -285,7 +283,7 @@ TEST(ElasticSpotTest, TooShortWarningYanksCrashStyleButJobsStillFinish) {
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
   const auto result = cluster.collect();
-  EXPECT_TRUE(log_contains(cluster, "spot-preempted machine=2"));
+  EXPECT_TRUE(timeline_contains(sink, "spot-preempted machine=2"));
   // The yank is a crash, not a kill: the occupant rolls back and requeues.
   EXPECT_EQ(result.recovery.wrong_kills, 0u);
   EXPECT_EQ(result.terminations, 0u);

@@ -19,6 +19,8 @@
 #include "core/experiment_runner.hpp"
 #include "core/policies/default_policy.hpp"
 #include "core/policies/pop_policy.hpp"
+#include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/cifar_model.hpp"
 
 namespace hyperdrive::cluster {
@@ -456,17 +458,20 @@ TEST(GoldenTraceTest, SameSeedSameFaultPlanIsByteIdentical) {
   const auto trace = linear_trace(5, 10);
   auto options = base_options(2);
   options.fault_plan = stress_plan();
-  options.record_event_log = true;
   options.seed = 99;
 
   SuspendOncePolicy p1, p2;
-  HyperDriveCluster a(trace, options), b(trace, options);
+  obs::RecordingSink sink_a, sink_b;
+  auto options_b = options;
+  options.obs.sink = &sink_a;
+  options_b.obs.sink = &sink_b;
+  HyperDriveCluster a(trace, options), b(trace, options_b);
   const auto ra = a.run(p1);
   const auto rb = b.run(p2);
 
-  // Byte-identical event/decision logs...
-  ASSERT_FALSE(a.event_log().empty());
-  EXPECT_EQ(a.event_log(), b.event_log());
+  // Byte-identical event/decision timelines...
+  ASSERT_FALSE(sink_a.events.empty());
+  EXPECT_EQ(timeline(sink_a), timeline(sink_b));
   // ...identical final results...
   EXPECT_EQ(ra.total_time, rb.total_time);
   EXPECT_EQ(ra.total_machine_time, rb.total_machine_time);
@@ -484,19 +489,21 @@ TEST(GoldenTraceTest, DifferentSeedDiverges) {
   const auto trace = linear_trace(5, 10);
   auto options = base_options(2);
   options.fault_plan = stress_plan();
-  options.record_event_log = true;
+  obs::RecordingSink sink_a, sink_b;
 
   options.seed = 99;
+  options.obs.sink = &sink_a;
   SuspendOncePolicy p1;
   HyperDriveCluster a(trace, options);
   (void)a.run(p1);
 
   options.seed = 100;  // different run seed, same plan
+  options.obs.sink = &sink_b;
   SuspendOncePolicy p2;
   HyperDriveCluster b(trace, options);
   (void)b.run(p2);
 
-  EXPECT_NE(a.event_log(), b.event_log());
+  EXPECT_NE(timeline(sink_a), timeline(sink_b));
 }
 
 // --------------------------------------------------- acceptance: CIFAR+POP --

@@ -16,7 +16,6 @@
 //     wrong kills.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -29,6 +28,7 @@
 #include "core/policies/default_policy.hpp"
 #include "core/policies/pop_policy.hpp"
 #include "obs/sink.hpp"
+#include "support/timeline.hpp"
 
 namespace hyperdrive::cluster {
 namespace {
@@ -97,13 +97,6 @@ NodeSlowdownEvent slowdown(MachineId machine, double factor,
   event.from = from;
   event.until = until;
   return event;
-}
-
-bool log_contains(const HyperDriveCluster& cluster, const std::string& needle) {
-  return std::any_of(cluster.event_log().begin(), cluster.event_log().end(),
-                     [&](const std::string& line) {
-                       return line.find(needle) != std::string::npos;
-                     });
 }
 
 // ------------------------------------------------- FaultInjector gray queries
@@ -376,7 +369,8 @@ TEST(GrayClusterTest, PersistentlySlowNodeIsQuarantinedAndItsJobMigrates) {
   options.fault_plan.slowdowns.push_back(slowdown(0, 4.0));
   options.health = fast_health();
   options.health.probation_after = SimTime::hours(10);  // stay out for this run
-  options.record_event_log = true;
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
   HyperDriveCluster cluster(trace, options);
@@ -385,8 +379,8 @@ TEST(GrayClusterTest, PersistentlySlowNodeIsQuarantinedAndItsJobMigrates) {
   EXPECT_GE(result.recovery.jobs_migrated, 1u);
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
   EXPECT_GE(cluster.health_monitor().stats().quarantines, 1u);
-  EXPECT_TRUE(log_contains(cluster, "quarantine machine=0"));
-  EXPECT_TRUE(log_contains(cluster, "reason=slow"));
+  EXPECT_TRUE(timeline_contains(sink, "quarantine machine=0"));
+  EXPECT_TRUE(timeline_contains(sink, "reason=slow"));
   // The migrated job lost no training: clean suspend, resume elsewhere.
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
@@ -406,7 +400,8 @@ TEST(GrayClusterTest, HungEpochTripsProgressDeadlineAndJobMigrates) {
   // Slow heartbeat cadence so the progress deadline (6 x expected epoch)
   // fires before the missed-heartbeat watchdog would.
   options.health.heartbeat_interval = SimTime::seconds(120);
-  options.record_event_log = true;
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
   HyperDriveCluster cluster(trace, options);
@@ -418,8 +413,8 @@ TEST(GrayClusterTest, HungEpochTripsProgressDeadlineAndJobMigrates) {
   EXPECT_GE(result.recovery.jobs_requeued, 1u);
   EXPECT_GT(result.recovery.epochs_lost, 0u);  // rollback: no snapshot existed
   EXPECT_EQ(cluster.fault_stats().epochs_hung, 1u);
-  EXPECT_TRUE(log_contains(cluster, "hang-detected"));
-  EXPECT_TRUE(log_contains(cluster, "reason=hung"));
+  EXPECT_TRUE(timeline_contains(sink, "hang-detected"));
+  EXPECT_TRUE(timeline_contains(sink, "reason=hung"));
   // The survivor machine finishes everything, histories intact.
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
@@ -444,7 +439,8 @@ TEST(GrayClusterTest, SilentIdleNodeIsQuarantinedByTheWatchdog) {
   options.health.heartbeat_interval = SimTime::seconds(5);
   options.health.watchdog_intervals = 2;  // suspect at 10 s, quarantine at 20 s
   options.health.probation_after = SimTime::hours(10);
-  options.record_event_log = true;
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
   HyperDriveCluster cluster(trace, options);
@@ -453,8 +449,8 @@ TEST(GrayClusterTest, SilentIdleNodeIsQuarantinedByTheWatchdog) {
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
   EXPECT_EQ(result.recovery.jobs_migrated, 0u);  // nothing was running there
   EXPECT_EQ(result.recovery.hung_jobs_detected, 0u);
-  EXPECT_TRUE(log_contains(cluster, "suspect machine=1"));
-  EXPECT_TRUE(log_contains(cluster, "quarantine machine=1 reason=silent"));
+  EXPECT_TRUE(timeline_contains(sink, "suspect machine=1"));
+  EXPECT_TRUE(timeline_contains(sink, "quarantine machine=1 reason=silent"));
   EXPECT_EQ(cluster.health_monitor().health(1), NodeHealth::Quarantined);
   ASSERT_EQ(result.job_stats.size(), 1u);
   EXPECT_EQ(result.job_stats[0].final_status, JobStatus::Completed);
@@ -472,7 +468,8 @@ TEST(GrayClusterTest, RecoveredNodeServesProbationAndIsReinstated) {
   options.health = fast_health();
   options.health.probation_after = SimTime::seconds(120);
   options.health.reinstate_epochs = 2;
-  options.record_event_log = true;
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
   HyperDriveCluster cluster(trace, options);
@@ -481,8 +478,8 @@ TEST(GrayClusterTest, RecoveredNodeServesProbationAndIsReinstated) {
   EXPECT_GE(result.recovery.nodes_quarantined, 2u);  // initial + failed probation
   EXPECT_EQ(result.recovery.nodes_reinstated, 1u);
   EXPECT_EQ(cluster.health_monitor().stats().reinstatements, 1u);
-  EXPECT_TRUE(log_contains(cluster, "probation machine=0"));
-  EXPECT_TRUE(log_contains(cluster, "reinstate machine=0"));
+  EXPECT_TRUE(timeline_contains(sink, "probation machine=0"));
+  EXPECT_TRUE(timeline_contains(sink, "reinstate machine=0"));
   EXPECT_EQ(cluster.health_monitor().health(0), NodeHealth::Healthy);
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
@@ -516,28 +513,31 @@ ClusterOptions gray_golden_options() {
   options.fault_plan = gray_stress_plan();
   options.health = fast_health();
   options.health.probation_after = SimTime::seconds(300);
-  options.record_event_log = true;
   options.seed = 99;
   return options;
 }
 
 TEST(GoldenGrayTraceTest, SlowdownHangAndQuarantineEventsAreByteIdentical) {
   const auto trace = linear_trace(6, 12);
-  const auto options = gray_golden_options();
+  auto options = gray_golden_options();
+  obs::RecordingSink sink_a, sink_b;
+  auto options_b = options;
+  options.obs.sink = &sink_a;
+  options_b.obs.sink = &sink_b;
 
   core::DefaultPolicy p1, p2;
-  HyperDriveCluster a(trace, options), b(trace, options);
+  HyperDriveCluster a(trace, options), b(trace, options_b);
   const auto ra = a.run(p1);
   const auto rb = b.run(p2);
 
   // The scenario really exercises the gray machinery...
   EXPECT_GE(ra.recovery.nodes_quarantined, 2u);  // slow machine 0 + hung machine 2
   EXPECT_GE(ra.recovery.jobs_migrated, 1u);
-  EXPECT_TRUE(log_contains(a, "quarantine machine="));
-  EXPECT_TRUE(log_contains(a, "migrate job="));
+  EXPECT_TRUE(timeline_contains(sink_a, "quarantine machine="));
+  EXPECT_TRUE(timeline_contains(sink_a, "migrate job="));
   // ...and replays byte-for-byte.
-  ASSERT_FALSE(a.event_log().empty());
-  EXPECT_EQ(a.event_log(), b.event_log());
+  ASSERT_FALSE(sink_a.events.empty());
+  EXPECT_EQ(timeline(sink_a), timeline(sink_b));
   EXPECT_EQ(ra.total_time, rb.total_time);
   EXPECT_EQ(ra.total_machine_time, rb.total_machine_time);
   EXPECT_EQ(ra.best_perf, rb.best_perf);
@@ -553,14 +553,17 @@ TEST(GoldenGrayTraceTest, SlowdownHangAndQuarantineEventsAreByteIdentical) {
 TEST(GoldenGrayTraceTest, DifferentSeedDiverges) {
   const auto trace = linear_trace(6, 12);
   auto options = gray_golden_options();
+  obs::RecordingSink sink_a, sink_b;
 
   core::DefaultPolicy p1, p2;
+  options.obs.sink = &sink_a;
   HyperDriveCluster a(trace, options);
   (void)a.run(p1);
   options.seed = 100;
+  options.obs.sink = &sink_b;
   HyperDriveCluster b(trace, options);
   (void)b.run(p2);
-  EXPECT_NE(a.event_log(), b.event_log());
+  EXPECT_NE(timeline(sink_a), timeline(sink_b));
 }
 
 // ------------------------------------- exploration invariance under slowdown

@@ -6,12 +6,13 @@
 //     sick, ungrantable until a restart or probation heals them).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "cluster/cluster.hpp"
 #include "core/policies/default_policy.hpp"
+#include "obs/sink.hpp"
 #include "sim/simulation.hpp"
+#include "support/timeline.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::cluster {
@@ -39,21 +40,15 @@ workload::Trace linear_trace(std::size_t jobs, std::size_t epochs) {
   return trace;
 }
 
-ClusterOptions tenant_options(std::size_t machines) {
+/// Options for a tenant cluster whose events `sink` records.
+ClusterOptions tenant_options(std::size_t machines, obs::RecordingSink& sink) {
   ClusterOptions options;
   options.machines = machines;
   options.overheads = cifar_overhead_model();
   options.epoch_jitter_sigma = 0.0;
   options.seed = 11;
-  options.record_event_log = true;
+  options.obs.sink = &sink;
   return options;
-}
-
-bool log_contains(const HyperDriveCluster& cluster, const std::string& needle) {
-  return std::any_of(cluster.event_log().begin(), cluster.event_log().end(),
-                     [&](const std::string& line) {
-                       return line.find(needle) != std::string::npos;
-                     });
 }
 
 // ---------------------------------------------- ResourceManager lease layer
@@ -113,8 +108,9 @@ TEST(ResourceManagerLeaseTest, EdgeCasesThrowOrAbsorb) {
 
 TEST(TenantLeaseTest, SameTickReclaimAndRegrant) {
   sim::Simulation sim;
+  obs::RecordingSink sink;
   const auto trace = linear_trace(2, 8);
-  HyperDriveCluster cluster(trace, tenant_options(4), sim);
+  HyperDriveCluster cluster(trace, tenant_options(4, sink), sim);
   core::DefaultPolicy policy;
   std::size_t released = 0;
   cluster.on_slot_released = [&] { ++released; };
@@ -130,8 +126,8 @@ TEST(TenantLeaseTest, SameTickReclaimAndRegrant) {
   EXPECT_TRUE(cluster.grant_one(0));
   EXPECT_EQ(cluster.held_slots(), 3u);
   EXPECT_FALSE(cluster.grant_one(0));  // at target
-  EXPECT_TRUE(log_contains(cluster, "lease-park machine=3 reason=reclaim"));
-  EXPECT_TRUE(log_contains(cluster, "lease-grant machine=2"));
+  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=3 reason=reclaim"));
+  EXPECT_TRUE(timeline_contains(sink, "lease-grant machine=2"));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -149,8 +145,9 @@ TEST(TenantLeaseTest, SameTickReclaimAndRegrant) {
 
 TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
   sim::Simulation sim;
+  obs::RecordingSink sink;
   const auto trace = linear_trace(4, 6);
-  HyperDriveCluster cluster(trace, tenant_options(4), sim);
+  HyperDriveCluster cluster(trace, tenant_options(4, sink), sim);
   core::DefaultPolicy policy;
   cluster.start(policy);
   sim.run_until(SimTime::seconds(90));  // every job is mid epoch 2
@@ -159,7 +156,7 @@ TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
   // All four machines are busy: nothing parks synchronously; the two
   // reclaimed slots drain via clean suspend.
   EXPECT_EQ(cluster.held_slots(), 4u);
-  EXPECT_TRUE(log_contains(cluster, "lease-migrate"));
+  EXPECT_TRUE(timeline_contains(sink, "lease-migrate"));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -169,7 +166,7 @@ TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
   EXPECT_EQ(result.terminations, 0u);
   EXPECT_EQ(result.recovery.epochs_lost, 0u);  // migration is a clean suspend
   EXPECT_EQ(result.lease_reclaims, 2u);
-  EXPECT_TRUE(log_contains(cluster, "lease-park machine=3 reason=reclaim"));
+  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=3 reason=reclaim"));
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
     EXPECT_EQ(job.epochs_completed, 6u) << "job " << job.job_id;
@@ -178,8 +175,9 @@ TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
 
 TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
   sim::Simulation sim;
+  obs::RecordingSink sink;
   const auto trace = linear_trace(2, 8);
-  auto options = tenant_options(4);
+  auto options = tenant_options(4, sink);
   NodeCrashEvent crash;  // machine 0 dies at 100 s, restarts at 300 s
   crash.machine = 0;
   crash.at = SimTime::seconds(100);
@@ -196,7 +194,7 @@ TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
   EXPECT_EQ(cluster.held_slots(), 3u);
   cluster.set_lease_target(CapacityView::single(2));  // no idle slot left: absorbs the corpse
   EXPECT_EQ(cluster.held_slots(), 2u);
-  EXPECT_TRUE(log_contains(cluster, "lease-park machine=0 reason=reclaim-offline"));
+  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=0 reason=reclaim-offline"));
 
   // The absorbed slot is sick: raising the target can only re-grant the
   // healthy parked slot.
@@ -206,7 +204,7 @@ TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
   EXPECT_FALSE(cluster.grant_one(0));  // only the sick slot remains
 
   sim.run_until(SimTime::seconds(350));  // restart heals the parked corpse
-  EXPECT_TRUE(log_contains(cluster, "restart machine=0 parked"));
+  EXPECT_TRUE(timeline_contains(sink, "restart machine=0 parked"));
   EXPECT_TRUE(cluster.grant_one(0));
   EXPECT_EQ(cluster.held_slots(), 4u);
 
@@ -222,8 +220,9 @@ TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
 
 TEST(TenantLeaseTest, ReclaimFromQuarantinedNodeHealsThroughProbation) {
   sim::Simulation sim;
+  obs::RecordingSink sink;
   const auto trace = linear_trace(4, 12);
-  auto options = tenant_options(2);
+  auto options = tenant_options(2, sink);
   options.epoch_jitter_sigma = 0.05;
   NodeSlowdownEvent slow;  // machine 0 runs 4x slow until 2000 s
   slow.machine = 0;
@@ -244,8 +243,8 @@ TEST(TenantLeaseTest, ReclaimFromQuarantinedNodeHealsThroughProbation) {
   // place and the tenant keeps only its healthy machine.
   cluster.set_lease_target(CapacityView::single(1));
   EXPECT_EQ(cluster.held_slots(), 1u);
-  EXPECT_TRUE(log_contains(cluster, "reason=reclaim-offline") ||
-              log_contains(cluster, "reason=reclaim-quarantine"));
+  EXPECT_TRUE(timeline_contains(sink, "reason=reclaim-offline") ||
+              timeline_contains(sink, "reason=reclaim-quarantine"));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -253,7 +252,7 @@ TEST(TenantLeaseTest, ReclaimFromQuarantinedNodeHealsThroughProbation) {
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
   // Probation cleared the parked slot without re-admitting it (only a lease
   // grant does that).
-  EXPECT_TRUE(log_contains(cluster, "probation machine=0 parked"));
+  EXPECT_TRUE(timeline_contains(sink, "probation machine=0 parked"));
   EXPECT_EQ(result.recovery.epochs_lost, 0u);  // quarantine migration is clean
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;

@@ -38,7 +38,6 @@ CoordinatorCheckpoint sample_checkpoint() {
   options.arbitration = ArbitrationMode::DeadlineAware;
   options.arbitration_interval = SimTime::minutes(5);
   options.seed = 99;
-  options.record_event_log = true;
   options.checkpoint_every = SimTime::minutes(10);
   options.health.enabled = true;
   options.health.quarantine_strikes = 5;
@@ -74,7 +73,6 @@ TEST(CheckpointCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(out.options.arbitration, ArbitrationMode::DeadlineAware);
   EXPECT_EQ(out.options.arbitration_interval, SimTime::minutes(5));
   EXPECT_EQ(out.options.seed, 99u);
-  EXPECT_TRUE(out.options.record_event_log);
   EXPECT_EQ(out.options.checkpoint_every, SimTime::minutes(10));
   EXPECT_TRUE(out.options.health.enabled);
   EXPECT_EQ(out.options.health.quarantine_strikes, 5u);

@@ -1,6 +1,6 @@
 // Coordinator crash-recovery tests (DESIGN.md §12). The headline invariant:
 // killing the coordinator at any tick and resuming produces a byte-identical
-// event log, MultiStudyResult and CSV versus the uninterrupted run — across
+// timeline, MultiStudyResult and CSV versus the uninterrupted run — across
 // seeds, crash positions, thread counts, in-simulation CoordinatorCrashEvents
 // and real out-of-process resume from durable frames. Plus the degraded
 // ladder: corrupt/truncated/divergent frames fall back to older ones and
@@ -26,6 +26,7 @@
 #include "core/sweep_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::core {
@@ -99,19 +100,43 @@ StudyManagerOptions mix_options(std::uint64_t seed) {
   options.machines = 5;
   options.arbitration = ArbitrationMode::FairShare;
   options.arbitration_interval = SimTime::minutes(5);
-  options.record_event_log = true;
   options.seed = seed;
   return options;
 }
 
-/// The uninterrupted ground truth, run on a plain StudyManager (no
-/// checkpointing machinery in the loop at all).
-MultiStudyResult reference_run(std::uint64_t seed) {
-  StudyManager manager(mix_options(seed));
-  for (const StudySpec& spec : mix_specs(seed)) {
-    manager.add_study(spec, trace_for(spec.name), default_policy_factory());
-  }
-  return manager.run();
+/// A finished run: its result, the timeline its sink recorded and, for
+/// recoverable runs, the recovery counters. The timeline leaves out
+/// CheckpointWritten, which only checkpointed runs emit, so every run
+/// compares against an uncheckpointed reference.
+struct Traced {
+  MultiStudyResult result;
+  std::vector<std::string> timeline;
+  CoordinatorRecoveryStats recovery;
+};
+
+/// Ground truth: a plain StudyManager, no checkpointing machinery in the loop.
+Traced reference_run(StudyManagerOptions options, const std::vector<StudySpec>& specs,
+                     const AdmitStudyFn& admit) {
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
+  StudyManager manager(options);
+  for (const StudySpec& spec : specs) admit(manager, spec);
+  MultiStudyResult result = manager.run();
+  return {std::move(result), timeline(sink), {}};
+}
+
+Traced reference_run(std::uint64_t seed) {
+  return reference_run(mix_options(seed), mix_specs(seed), fixture_admit());
+}
+
+/// run_recoverable_multi_study with a sink on the caller-facing stream.
+Traced run_recoverable(const std::vector<StudySpec>& specs, StudyManagerOptions options,
+                       const CheckpointOptions& ckpt, const AdmitStudyFn& admit) {
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
+  RecoverableRunResult run = run_recoverable_multi_study(specs, options, ckpt, admit);
+  return {std::move(run.result), timeline(sink, {obs::EventKind::CheckpointWritten}),
+          run.recovery};
 }
 
 std::string csv_bytes(const MultiStudyResult& result) {
@@ -120,12 +145,14 @@ std::string csv_bytes(const MultiStudyResult& result) {
   return out.str();
 }
 
-void expect_identical(const MultiStudyResult& want, const MultiStudyResult& got) {
-  ASSERT_FALSE(want.event_log.empty());
-  ASSERT_EQ(want.event_log.size(), got.event_log.size());
-  for (std::size_t i = 0; i < want.event_log.size(); ++i) {
-    ASSERT_EQ(want.event_log[i], got.event_log[i]) << "event-log line " << i;
+void expect_identical(const Traced& want_run, const Traced& got_run) {
+  ASSERT_FALSE(want_run.timeline.empty());
+  ASSERT_EQ(want_run.timeline.size(), got_run.timeline.size());
+  for (std::size_t i = 0; i < want_run.timeline.size(); ++i) {
+    ASSERT_EQ(want_run.timeline[i], got_run.timeline[i]) << "timeline line " << i;
   }
+  const MultiStudyResult& want = want_run.result;
+  const MultiStudyResult& got = got_run.result;
   EXPECT_EQ(csv_bytes(want), csv_bytes(got));
   EXPECT_EQ(want.total_time, got.total_time);
   EXPECT_EQ(want.rebalances, got.rebalances);
@@ -148,30 +175,29 @@ std::filesystem::path fresh_dir(const std::string& name) {
 
 TEST(CoordinatorRecoveryTest, CrashAndResumeIsByteIdenticalAcrossThirtySeeds) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const MultiStudyResult ref = reference_run(seed);
-    ASSERT_GT(ref.total_time, SimTime::zero()) << "seed " << seed;
+    const Traced ref = reference_run(seed);
+    ASSERT_GT(ref.result.total_time, SimTime::zero()) << "seed " << seed;
 
     // Rotate the crash through early / middle / late run positions.
     const double frac = seed % 3 == 0 ? 0.3 : (seed % 3 == 1 ? 0.55 : 0.85);
     StudyManagerOptions options = mix_options(seed);
     cluster::CoordinatorCrashEvent crash;
-    crash.at = SimTime::seconds(ref.total_time.to_seconds() * frac);
+    crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * frac);
     options.fault_plan.coordinator_crashes.push_back(crash);
 
     CheckpointOptions ckpt;  // in-memory: no durable dir needed for in-sim crashes
-    ckpt.every = SimTime::seconds(ref.total_time.to_seconds() / 6.0);
-    const auto run = run_recoverable_multi_study(mix_specs(seed), options, ckpt,
-                                                 fixture_admit());
+    ckpt.every = SimTime::seconds(ref.result.total_time.to_seconds() / 6.0);
+    const auto run = run_recoverable(mix_specs(seed), options, ckpt, fixture_admit());
     EXPECT_EQ(run.recovery.coordinator_crashes, 1u) << "seed " << seed;
     EXPECT_EQ(run.recovery.checkpoint_loads + run.recovery.cold_restarts, 1u)
         << "seed " << seed;
-    expect_identical(ref, run.result);
+    expect_identical(ref, run);
   }
 }
 
 TEST(CoordinatorRecoveryTest, CrashedRunsAreThreadCountInvariant) {
   // Four independent crashed-and-resumed cells through the SweepEngine's
-  // custom run hook: tables and merged event logs must be byte-identical at
+  // custom run hook: tables and merged timelines must be byte-identical at
   // 1 and 8 worker threads.
   const auto make_sweep = [](std::vector<std::vector<std::string>>& logs) {
     SweepSpec spec;
@@ -180,17 +206,16 @@ TEST(CoordinatorRecoveryTest, CrashedRunsAreThreadCountInvariant) {
     spec.add_repeat_axis(4);
     logs.assign(4, {});
     spec.run = [&logs](const SweepCell& cell) {
-      const MultiStudyResult ref = reference_run(cell.seed);
+      const Traced ref = reference_run(cell.seed);
       StudyManagerOptions options = mix_options(cell.seed);
       cluster::CoordinatorCrashEvent crash;
-      crash.at = SimTime::seconds(ref.total_time.to_seconds() * 0.5);
+      crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.5);
       options.fault_plan.coordinator_crashes.push_back(crash);
       CheckpointOptions ckpt;
       ckpt.every = SimTime::minutes(4);
-      auto run = run_recoverable_multi_study(mix_specs(cell.seed), options, ckpt,
-                                             fixture_admit());
+      auto run = run_recoverable(mix_specs(cell.seed), options, ckpt, fixture_admit());
       EXPECT_EQ(run.recovery.coordinator_crashes, 1u);
-      logs[cell.linear] = std::move(run.result.event_log);
+      logs[cell.linear] = std::move(run.timeline);
       return run.result.aggregate();
     };
     return spec;
@@ -220,26 +245,24 @@ TEST(CoordinatorRecoveryTest, OutOfProcessResumeReplaysFromDurableFrames) {
   // finishes. Process two (fresh runtime state): --resume-from semantics with
   // no specs at all — everything comes from the frames.
   const auto dir = fresh_dir("hd_resume_roundtrip");
-  const MultiStudyResult ref = reference_run(13);
+  const Traced ref = reference_run(13);
 
   StudyManagerOptions options = mix_options(13);
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto first = run_recoverable_multi_study(mix_specs(13), options, ckpt,
-                                                 fixture_admit());
-  expect_identical(ref, first.result);
+  const auto first = run_recoverable(mix_specs(13), options, ckpt, fixture_admit());
+  expect_identical(ref, first);
   ASSERT_FALSE(CheckpointStore(dir.string()).list().empty());
 
   CheckpointOptions resume;
   resume.dir = dir.string();
   resume.resume = true;
-  const auto second = run_recoverable_multi_study({}, mix_options(13), resume,
-                                                  fixture_admit());
+  const auto second = run_recoverable({}, mix_options(13), resume, fixture_admit());
   EXPECT_EQ(second.recovery.checkpoint_loads, 1u);
   EXPECT_EQ(second.recovery.replay_verifications, 1u);
   EXPECT_EQ(second.recovery.cold_restarts, 0u);
-  expect_identical(ref, second.result);
+  expect_identical(ref, second);
   std::filesystem::remove_all(dir);
 }
 
@@ -248,7 +271,7 @@ TEST(CoordinatorRecoveryTest, RegistryPoliciesRideFramesAndResumeByteIdentically
   // study with key=value params plus a POP study, admitted by name through
   // the PolicyRegistry. The policy name and params ride the HDCK frames as
   // study-spec text, so an out-of-process resume must rebuild the exact
-  // policies — byte-identical event log and CSV.
+  // policies — byte-identical timeline and CSV.
   const auto specs_with_zoo = [](std::uint64_t base_seed) {
     auto specs = mix_specs(base_seed);
     specs[0].policy = "asha";
@@ -272,31 +295,27 @@ TEST(CoordinatorRecoveryTest, RegistryPoliciesRideFramesAndResumeByteIdentically
   };
 
   // Uninterrupted ground truth with the same registry-built policies.
-  StudyManager reference(mix_options(19));
-  for (const StudySpec& spec : specs_with_zoo(19)) registry_admit(reference, spec);
-  const MultiStudyResult ref = reference.run();
+  const Traced ref = reference_run(mix_options(19), specs_with_zoo(19), registry_admit);
 
   const auto dir = fresh_dir("hd_registry_resume");
   StudyManagerOptions options = mix_options(19);
   cluster::CoordinatorCrashEvent crash;
-  crash.at = SimTime::seconds(ref.total_time.to_seconds() * 0.5);
+  crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.5);
   options.fault_plan.coordinator_crashes.push_back(crash);
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(5);
-  const auto first = run_recoverable_multi_study(specs_with_zoo(19), options, ckpt,
-                                                 registry_admit);
+  const auto first = run_recoverable(specs_with_zoo(19), options, ckpt, registry_admit);
   EXPECT_EQ(first.recovery.coordinator_crashes, 1u);
-  expect_identical(ref, first.result);
+  expect_identical(ref, first);
 
   // Process two: nothing but the frames — policies come back by name.
   CheckpointOptions resume;
   resume.dir = dir.string();
   resume.resume = true;
-  const auto second = run_recoverable_multi_study({}, mix_options(19), resume,
-                                                  registry_admit);
+  const auto second = run_recoverable({}, mix_options(19), resume, registry_admit);
   EXPECT_EQ(second.recovery.checkpoint_loads, 1u);
-  expect_identical(ref, second.result);
+  expect_identical(ref, second);
   std::filesystem::remove_all(dir);
 }
 
@@ -306,8 +325,7 @@ TEST(CoordinatorRecoveryTest, DegradedLadderFallsBackPastCorruptFrames) {
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto original = run_recoverable_multi_study(mix_specs(5), options, ckpt,
-                                                    fixture_admit());
+  const auto original = run_recoverable(mix_specs(5), options, ckpt, fixture_admit());
 
   CheckpointStore store(dir.string());
   const auto seqs = store.list();
@@ -342,8 +360,7 @@ TEST(CoordinatorRecoveryTest, DegradedLadderFallsBackPastCorruptFrames) {
   resume.dir = dir.string();
   resume.resume = true;
   resume.recovery_sink = &journey;
-  const auto resumed = run_recoverable_multi_study({}, resume_options, resume,
-                                                   fixture_admit());
+  const auto resumed = run_recoverable({}, resume_options, resume, fixture_admit());
 
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, 2u);
   EXPECT_EQ(resumed.recovery.checkpoint_loads, 1u);
@@ -354,7 +371,7 @@ TEST(CoordinatorRecoveryTest, DegradedLadderFallsBackPastCorruptFrames) {
   EXPECT_EQ(journey.count(obs::EventKind::CoordinatorResume), 1u);
   EXPECT_EQ(registry.counter("recovery.checkpoint_fallbacks").value(), 2u);
   EXPECT_EQ(registry.counter("recovery.replay_verifications").value(), 1u);
-  expect_identical(original.result, resumed.result);
+  expect_identical(original, resumed);
 
   // The replay healed the frames it re-wrote: everything decodes again.
   for (const std::uint64_t seq : store.list()) {
@@ -369,8 +386,7 @@ TEST(CoordinatorRecoveryTest, ExhaustedLadderColdRestartsFromRecordedSpecs) {
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto original = run_recoverable_multi_study(mix_specs(3), options, ckpt,
-                                                    fixture_admit());
+  const auto original = run_recoverable(mix_specs(3), options, ckpt, fixture_admit());
 
   // Corrupt every frame: the ladder exhausts and the run cold-restarts.
   CheckpointStore store(dir.string());
@@ -389,12 +405,11 @@ TEST(CoordinatorRecoveryTest, ExhaustedLadderColdRestartsFromRecordedSpecs) {
       std::runtime_error);
 
   // With caller-supplied specs the cold restart completes byte-identically.
-  const auto resumed = run_recoverable_multi_study(mix_specs(3), mix_options(3), resume,
-                                                   fixture_admit());
+  const auto resumed = run_recoverable(mix_specs(3), mix_options(3), resume, fixture_admit());
   EXPECT_EQ(resumed.recovery.cold_restarts, 1u);
   EXPECT_EQ(resumed.recovery.checkpoint_loads, 0u);
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, seqs.size());
-  expect_identical(original.result, resumed.result);
+  expect_identical(original, resumed);
   std::filesystem::remove_all(dir);
 }
 
@@ -408,8 +423,7 @@ TEST(CoordinatorRecoveryTest, DivergentFrameIsRejectedByReplayVerification) {
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto original = run_recoverable_multi_study(mix_specs(21), options, ckpt,
-                                                    fixture_admit());
+  const auto original = run_recoverable(mix_specs(21), options, ckpt, fixture_admit());
 
   CheckpointStore store(dir.string());
   auto seqs = store.list();
@@ -432,14 +446,13 @@ TEST(CoordinatorRecoveryTest, DivergentFrameIsRejectedByReplayVerification) {
   resume.dir = dir.string();
   resume.resume = true;
   resume.recovery_sink = &journey;
-  const auto resumed = run_recoverable_multi_study({}, mix_options(21), resume,
-                                                   fixture_admit());
+  const auto resumed = run_recoverable({}, mix_options(21), resume, fixture_admit());
 
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, 1u);
   EXPECT_EQ(resumed.recovery.checkpoint_loads, 2u);  // tampered frame + fallback
   EXPECT_EQ(resumed.recovery.replay_verifications, 1u);
   EXPECT_EQ(journey.count(obs::EventKind::CheckpointFallback), 1u);
-  expect_identical(original.result, resumed.result);
+  expect_identical(original, resumed);
   std::filesystem::remove_all(dir);
 }
 
@@ -461,23 +474,21 @@ TEST(CoordinatorRecoveryTest, MidEpochCheckpointWithSuspendsInFlightResumes) {
   const auto specs = mix_specs(seed);
   const StudyManagerOptions options = mix_options(seed);
 
-  StudyManager reference(options);
-  for (const StudySpec& spec : specs) barrier_admit(reference, spec);
-  const MultiStudyResult ref = reference.run();
-  ASSERT_GT(ref.aggregate().suspends, 0u)
+  const Traced ref = reference_run(options, specs, barrier_admit);
+  ASSERT_GT(ref.result.aggregate().suspends, 0u)
       << "fixture mix no longer exercises suspends";
 
   StudyManagerOptions crashed = options;
   cluster::CoordinatorCrashEvent crash;
   crash.at = SimTime::seconds(5 * 130 + 10);
-  ASSERT_LT(crash.at, ref.total_time);
+  ASSERT_LT(crash.at, ref.result.total_time);
   crashed.fault_plan.coordinator_crashes.push_back(crash);
   CheckpointOptions ckpt;
   ckpt.every = SimTime::seconds(130);
-  const auto run = run_recoverable_multi_study(specs, crashed, ckpt, barrier_admit);
+  const auto run = run_recoverable(specs, crashed, ckpt, barrier_admit);
   EXPECT_EQ(run.recovery.coordinator_crashes, 1u);
   EXPECT_EQ(run.recovery.replay_verifications, 1u);
-  expect_identical(ref, run.result);
+  expect_identical(ref, run);
 }
 
 TEST(CoordinatorRecoveryTest, ResumeAfterLastStudyFinishedReplaysToTheEnd) {
@@ -486,66 +497,63 @@ TEST(CoordinatorRecoveryTest, ResumeAfterLastStudyFinishedReplaysToTheEnd) {
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto first = run_recoverable_multi_study(mix_specs(7), options, ckpt,
-                                                 fixture_admit());
+  const auto first = run_recoverable(mix_specs(7), options, ckpt, fixture_admit());
 
   // The newest frame is the final on-demand capture of a *finished* run: the
   // replay never reaches its sequence periodically and verifies at the end.
-  const auto resumed = run_recoverable_multi_study({}, mix_options(7),
-                                                   [&] {
-                                                     CheckpointOptions r;
-                                                     r.dir = dir.string();
-                                                     r.resume = true;
-                                                     return r;
-                                                   }(),
-                                                   fixture_admit());
+  const auto resumed = run_recoverable({}, mix_options(7),
+                                       [&] {
+                                         CheckpointOptions r;
+                                         r.dir = dir.string();
+                                         r.resume = true;
+                                         return r;
+                                       }(),
+                                       fixture_admit());
   EXPECT_EQ(resumed.recovery.coordinator_crashes, 0u);
   EXPECT_EQ(resumed.recovery.replay_verifications, 1u);
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, 0u);
-  expect_identical(first.result, resumed.result);
+  expect_identical(first, resumed);
 
   // Resuming a finished run converges: a third pass still verifies (the
   // final frame was re-written with identical state bytes, not duplicated).
-  const auto third = run_recoverable_multi_study({}, mix_options(7),
-                                                 [&] {
-                                                   CheckpointOptions r;
-                                                   r.dir = dir.string();
-                                                   r.resume = true;
-                                                   return r;
-                                                 }(),
-                                                 fixture_admit());
+  const auto third = run_recoverable({}, mix_options(7),
+                                     [&] {
+                                       CheckpointOptions r;
+                                       r.dir = dir.string();
+                                       r.resume = true;
+                                       return r;
+                                     }(),
+                                     fixture_admit());
   EXPECT_EQ(third.recovery.replay_verifications, 1u);
   EXPECT_EQ(third.recovery.checkpoint_fallbacks, 0u);
-  expect_identical(first.result, third.result);
+  expect_identical(first, third);
   std::filesystem::remove_all(dir);
 }
 
 TEST(CoordinatorRecoveryTest, CrashEventsAlreadyInThePastAreNotRefired) {
   const auto dir = fresh_dir("hd_past_events");
-  const MultiStudyResult ref = reference_run(9);
+  const Traced ref = reference_run(9);
 
   StudyManagerOptions options = mix_options(9);
   cluster::CoordinatorCrashEvent crash;
-  crash.at = SimTime::seconds(ref.total_time.to_seconds() * 0.5);
+  crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.5);
   options.fault_plan.coordinator_crashes.push_back(crash);
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
   ckpt.every = SimTime::minutes(6);
-  const auto first = run_recoverable_multi_study(mix_specs(9), options, ckpt,
-                                                 fixture_admit());
+  const auto first = run_recoverable(mix_specs(9), options, ckpt, fixture_admit());
   EXPECT_EQ(first.recovery.coordinator_crashes, 1u);
-  expect_identical(ref, first.result);
+  expect_identical(ref, first);
 
   // Resume: the final frame records crashes_taken=1, so the plan's only
   // crash — now in the replayed past — is a consumed prefix entry.
   CheckpointOptions resume;
   resume.dir = dir.string();
   resume.resume = true;
-  const auto second = run_recoverable_multi_study({}, mix_options(9), resume,
-                                                  fixture_admit());
+  const auto second = run_recoverable({}, mix_options(9), resume, fixture_admit());
   EXPECT_EQ(second.recovery.coordinator_crashes, 0u);
   EXPECT_EQ(second.recovery.replay_verifications, 1u);
-  expect_identical(ref, second.result);
+  expect_identical(ref, second);
 
   // Defensive floor: even a frame hand-edited to claim crashes_taken=0 must
   // not re-fire a crash that lies before its own tick.
@@ -558,10 +566,9 @@ TEST(CoordinatorRecoveryTest, CrashEventsAlreadyInThePastAreNotRefired) {
   newest.checkpoint->crashes_taken = 0;
   (void)store.write(*newest.checkpoint);
 
-  const auto third = run_recoverable_multi_study({}, mix_options(9), resume,
-                                                 fixture_admit());
+  const auto third = run_recoverable({}, mix_options(9), resume, fixture_admit());
   EXPECT_EQ(third.recovery.coordinator_crashes, 0u);
-  expect_identical(ref, third.result);
+  expect_identical(ref, third);
   std::filesystem::remove_all(dir);
 }
 
@@ -570,23 +577,22 @@ TEST(CoordinatorRecoveryTest, DoubleCrashRecoversTwiceIncludingDuringRecovery) {
   // the first one — a crash during recovery. Both must be taken exactly
   // once, with a verified replay after each.
   const std::uint64_t seed = 27;
-  const MultiStudyResult ref = reference_run(seed);
+  const Traced ref = reference_run(seed);
 
   StudyManagerOptions options = mix_options(seed);
   for (const double frac : {0.4, 0.7}) {
     cluster::CoordinatorCrashEvent crash;
-    crash.at = SimTime::seconds(ref.total_time.to_seconds() * frac);
+    crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * frac);
     options.fault_plan.coordinator_crashes.push_back(crash);
   }
   CheckpointOptions ckpt;
-  ckpt.every = SimTime::seconds(ref.total_time.to_seconds() / 8.0);
-  const auto run = run_recoverable_multi_study(mix_specs(seed), options, ckpt,
-                                               fixture_admit());
+  ckpt.every = SimTime::seconds(ref.result.total_time.to_seconds() / 8.0);
+  const auto run = run_recoverable(mix_specs(seed), options, ckpt, fixture_admit());
   EXPECT_EQ(run.recovery.coordinator_crashes, 2u);
   EXPECT_EQ(run.recovery.checkpoint_loads, 2u);
   EXPECT_EQ(run.recovery.replay_verifications, 2u);
   EXPECT_EQ(run.recovery.cold_restarts, 0u);
-  expect_identical(ref, run.result);
+  expect_identical(ref, run);
 }
 
 TEST(CoordinatorRecoveryTest, CheckpointWrittenRidesTheDeterministicTimeline) {
@@ -594,7 +600,7 @@ TEST(CoordinatorRecoveryTest, CheckpointWrittenRidesTheDeterministicTimeline) {
   // journey): an uninterrupted run and a crashed+resumed run at the same
   // cadence must surface the identical checkpoint event sequence.
   const std::uint64_t seed = 2;
-  const MultiStudyResult ref = reference_run(seed);
+  const Traced ref = reference_run(seed);
 
   const auto run_with = [&](bool crashed) {
     StudyManagerOptions options = mix_options(seed);
@@ -602,7 +608,7 @@ TEST(CoordinatorRecoveryTest, CheckpointWrittenRidesTheDeterministicTimeline) {
     options.obs.sink = &sink;
     if (crashed) {
       cluster::CoordinatorCrashEvent crash;
-      crash.at = SimTime::seconds(ref.total_time.to_seconds() * 0.6);
+      crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.6);
       options.fault_plan.coordinator_crashes.push_back(crash);
     }
     CheckpointOptions ckpt;
@@ -644,24 +650,20 @@ TEST(CoordinatorRecoveryTest, ElasticAutoscaledRunResumesByteIdentically) {
   // ride the checkpoint frame — crash + resume reproduces the uninterrupted
   // run byte for byte, including the final cloud bill.
   for (std::uint64_t seed = 3; seed <= 5; ++seed) {
-    StudyManager reference(elastic_mix_options(seed));
-    for (const StudySpec& spec : mix_specs(seed)) {
-      reference.add_study(spec, trace_for(spec.name), default_policy_factory());
-    }
-    const MultiStudyResult ref = reference.run();
-    ASSERT_GT(ref.spend_usd, 0.0) << "seed " << seed;
+    const Traced ref = reference_run(elastic_mix_options(seed), mix_specs(seed),
+                                     fixture_admit());
+    ASSERT_GT(ref.result.spend_usd, 0.0) << "seed " << seed;
 
     StudyManagerOptions options = elastic_mix_options(seed);
     cluster::CoordinatorCrashEvent crash;
-    crash.at = SimTime::seconds(ref.total_time.to_seconds() * 0.5);
+    crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.5);
     options.fault_plan.coordinator_crashes.push_back(crash);
     CheckpointOptions ckpt;
     ckpt.every = SimTime::minutes(5);
-    const auto run = run_recoverable_multi_study(mix_specs(seed), options, ckpt,
-                                                 fixture_admit());
+    const auto run = run_recoverable(mix_specs(seed), options, ckpt, fixture_admit());
     EXPECT_EQ(run.recovery.coordinator_crashes, 1u) << "seed " << seed;
-    expect_identical(ref, run.result);
-    EXPECT_EQ(ref.spend_usd, run.result.spend_usd) << "seed " << seed;
+    expect_identical(ref, run);
+    EXPECT_EQ(ref.result.spend_usd, run.result.spend_usd) << "seed " << seed;
   }
 }
 

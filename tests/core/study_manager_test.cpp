@@ -1,15 +1,17 @@
 // StudyManager tests (multi-tenant study scheduling, DESIGN.md §9):
 //   * a single study routed through the manager is byte-identical to the
-//     plain single-tenant cluster path (event log and result);
+//     plain single-tenant cluster path (timeline and result);
 //   * fair-share arbitration hands a finished study's capacity to the
 //     survivors, static partitioning strands it;
 //   * cancellation drains a tenant and the pool absorbs its slots;
 //   * a 3-study mix is deterministic: two runs produce identical merged
-//     event logs and CSV bytes, and a SweepEngine fan-out over the custom
-//     `run` hook gives byte-identical tables at 1 and 8 worker threads.
+//     timelines and CSV bytes, and a SweepEngine fan-out over the custom
+//     `run` hook gives byte-identical tables at 1 and 8 worker threads;
+//   * an attached sink changes no checkpoint or CSV byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,8 @@
 #include "core/policies/default_policy.hpp"
 #include "core/study/study_manager.hpp"
 #include "core/sweep_engine.hpp"
+#include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/trace.hpp"
 
 namespace hyperdrive::core {
@@ -61,20 +65,28 @@ std::function<std::unique_ptr<SchedulingPolicy>()> default_policy_factory() {
   return [] { return std::make_unique<DefaultPolicy>(); };
 }
 
+/// A finished multi-study run plus the timeline its sink recorded.
+struct Traced {
+  MultiStudyResult result;
+  std::vector<std::string> timeline;
+};
+
 TEST(StudyManagerTest, SingleStudyIsByteIdenticalToOwnedCluster) {
   const auto trace = curved_trace(6, 10, 0.9, 3.0, 0.85);
 
+  obs::RecordingSink owned_sink;
   cluster::ClusterOptions co;
   co.machines = 4;
   co.seed = 5;
-  co.record_event_log = true;
+  co.obs.sink = &owned_sink;
   DefaultPolicy owned_policy;
   cluster::HyperDriveCluster owned(trace, co);
   const auto owned_result = owned.run(owned_policy);
 
+  obs::RecordingSink multi_sink;
   StudyManagerOptions options;
   options.machines = 4;
-  options.record_event_log = true;
+  options.obs.sink = &multi_sink;
   StudyManager manager(options);
   auto spec = make_spec("solo", 5);
   manager.add_study(spec, trace, default_policy_factory());
@@ -83,10 +95,15 @@ TEST(StudyManagerTest, SingleStudyIsByteIdenticalToOwnedCluster) {
   ASSERT_EQ(multi.studies.size(), 1u);
   const auto& tenant_result = multi.studies[0].result;
   // The whole event stream — allocation order, message timing, decisions —
-  // must match byte for byte.
-  ASSERT_EQ(multi.event_log.size(), owned.event_log().size());
-  for (std::size_t i = 0; i < multi.event_log.size(); ++i) {
-    EXPECT_EQ(multi.event_log[i], owned.event_log()[i]) << "line " << i;
+  // must match byte for byte. The manager's own capacity events have no
+  // single-cluster counterpart.
+  const auto want = timeline(owned_sink);
+  const auto got =
+      timeline(multi_sink, {obs::EventKind::NodeAcquired, obs::EventKind::NodeReleased});
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "line " << i;
   }
   EXPECT_EQ(tenant_result.reached_target, owned_result.reached_target);
   EXPECT_EQ(tenant_result.time_to_target, owned_result.time_to_target);
@@ -149,7 +166,8 @@ TEST(StudyManagerTest, CancellationDrainsTheTenant) {
   StudyManagerOptions options;
   options.machines = 4;
   options.arbitration = ArbitrationMode::FairShare;
-  options.record_event_log = true;
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
   StudyManager manager(options);
   auto cancelled = make_spec("doomed", 4);
   cancelled.cancel_at = SimTime::minutes(10);
@@ -169,21 +187,18 @@ TEST(StudyManagerTest, CancellationDrainsTheTenant) {
   ASSERT_EQ(agg.study_rows.size(), 2u);
   EXPECT_TRUE(agg.study_rows[0].cancelled);
   EXPECT_FALSE(agg.reached_target);
-  // The merged log attributes every tenant line.
-  bool saw_cancel = false;
-  for (const auto& line : result.event_log) {
-    if (line.find("study=doomed study-cancelled") != std::string::npos) saw_cancel = true;
-  }
-  EXPECT_TRUE(saw_cancel);
+  // The merged stream attributes every tenant event.
+  EXPECT_TRUE(timeline_contains(sink, "study=doomed study-cancelled"));
 }
 
-MultiStudyResult run_three_study_mix(std::uint64_t base_seed) {
+Traced run_three_study_mix(std::uint64_t base_seed) {
+  obs::RecordingSink sink;
   StudyManagerOptions options;
   options.machines = 6;
   options.arbitration = ArbitrationMode::FairShare;
   options.arbitration_interval = SimTime::minutes(5);
-  options.record_event_log = true;
   options.seed = base_seed;
+  options.obs.sink = &sink;
   StudyManager manager(options);
   manager.add_study(make_spec("alpha", base_seed ^ 11),
                     curved_trace(6, 12, 0.9, 3.0, 0.85),
@@ -195,7 +210,8 @@ MultiStudyResult run_three_study_mix(std::uint64_t base_seed) {
   gamma.weight = 2.0;
   manager.add_study(gamma, curved_trace(4, 8, 0.9, 2.0, 0.75),
                     default_policy_factory());
-  return manager.run();
+  MultiStudyResult result = manager.run();
+  return {std::move(result), timeline(sink)};
 }
 
 std::string csv_bytes(const MultiStudyResult& result) {
@@ -207,16 +223,21 @@ std::string csv_bytes(const MultiStudyResult& result) {
 TEST(StudyManagerTest, ThreeStudyMixIsDeterministic) {
   const auto a = run_three_study_mix(9);
   const auto b = run_three_study_mix(9);
-  ASSERT_FALSE(a.event_log.empty());
-  ASSERT_EQ(a.event_log.size(), b.event_log.size());
-  for (std::size_t i = 0; i < a.event_log.size(); ++i) {
-    ASSERT_EQ(a.event_log[i], b.event_log[i]) << "line " << i;
+  ASSERT_FALSE(a.timeline.empty());
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    ASSERT_EQ(a.timeline[i], b.timeline[i]) << "line " << i;
   }
-  EXPECT_EQ(csv_bytes(a), csv_bytes(b));
-  EXPECT_EQ(a.rebalances, b.rebalances);
-  EXPECT_EQ(a.total_time, b.total_time);
-  // Every line of a multi-study log is attributed to its tenant.
-  for (const auto& line : a.event_log) {
+  EXPECT_EQ(csv_bytes(a.result), csv_bytes(b.result));
+  EXPECT_EQ(a.result.rebalances, b.result.rebalances);
+  EXPECT_EQ(a.result.total_time, b.result.total_time);
+  // Every tenant event of a multi-study stream is attributed to its study;
+  // only the manager's own capacity events carry none.
+  for (const auto& line : a.timeline) {
+    if (line.find(" node-acquired ") != std::string::npos ||
+        line.find(" node-released ") != std::string::npos) {
+      continue;
+    }
     EXPECT_NE(line.find(" study="), std::string::npos) << line;
   }
 }
@@ -231,9 +252,9 @@ TEST(StudyManagerTest, SweepOverRunHookIsThreadCountInvariant) {
     spec.add_repeat_axis(4);
     logs.assign(4, {});
     spec.run = [&logs](const SweepCell& cell) {
-      auto result = run_three_study_mix(cell.seed);
-      logs[cell.linear] = std::move(result.event_log);
-      return result.aggregate();
+      auto mix = run_three_study_mix(cell.seed);
+      logs[cell.linear] = std::move(mix.timeline);
+      return mix.result.aggregate();
     };
     return spec;
   };
@@ -253,6 +274,45 @@ TEST(StudyManagerTest, SweepOverRunHookIsThreadCountInvariant) {
     ASSERT_FALSE(serial_logs[c].empty()) << "cell " << c;
     EXPECT_EQ(serial_logs[c], parallel_logs[c]) << "cell " << c;
   }
+}
+
+TEST(StudyManagerTest, AttachedSinkLeavesCheckpointsAndCsvUnchanged) {
+  // Telemetry stays off the manager's timeline: a sink observes the run
+  // without changing a byte of its periodic checkpoints, its final on-demand
+  // capture or its CSV.
+  struct Captured {
+    std::vector<std::vector<std::uint8_t>> states;  ///< periodic, then final
+    std::string csv;
+  };
+  const auto capture = [](obs::EventSink* sink) {
+    Captured out;
+    StudyManagerOptions options;
+    options.machines = 4;
+    options.arbitration_interval = SimTime::minutes(5);
+    options.checkpoint_every = SimTime::minutes(7);
+    options.obs.sink = sink;
+    options.on_checkpoint = [&out](ManagerCheckpoint&& cp) {
+      out.states.push_back(std::move(cp.state));
+      return true;
+    };
+    StudyManager manager(options);
+    manager.add_study(make_spec("alpha", 3), curved_trace(6, 12, 0.9, 3.0, 0.85),
+                      default_policy_factory());
+    manager.add_study(make_spec("beta", 4), curved_trace(8, 10, 0.6, 4.0, 0.99),
+                      default_policy_factory());
+    const auto result = manager.run();
+    out.states.push_back(manager.capture_checkpoint().state);
+    out.csv = csv_bytes(result);
+    return out;
+  };
+
+  obs::RecordingSink sink;
+  const Captured bare = capture(nullptr);
+  const Captured observed = capture(&sink);
+  ASSERT_FALSE(sink.events.empty());
+  ASSERT_GE(bare.states.size(), 3u);  // at least two periodic + the final one
+  EXPECT_EQ(bare.states, observed.states);
+  EXPECT_EQ(bare.csv, observed.csv);
 }
 
 TEST(StudyManagerTest, DeadlineAwareModeRunsAndFlagsDeadlines) {
@@ -282,7 +342,8 @@ TEST(StudyManagerTest, DeadlineAwareModeRunsAndFlagsDeadlines) {
 
 // --- elastic cost-aware capacity (DESIGN.md §15) -----------------------------
 
-MultiStudyResult run_elastic_mix(std::uint64_t seed) {
+Traced run_elastic_mix(std::uint64_t seed) {
+  obs::RecordingSink sink;
   StudyManagerOptions options;
   cluster::NodeCatalog catalog;
   catalog.add({"standard", 3, 1.0, 1.0, false});
@@ -290,8 +351,8 @@ MultiStudyResult run_elastic_mix(std::uint64_t seed) {
   options.catalog = catalog;
   options.arbitration = ArbitrationMode::Cost;
   options.arbitration_interval = SimTime::minutes(5);
-  options.record_event_log = true;
   options.seed = seed;
+  options.obs.sink = &sink;
   cluster::SpotPreemptionEvent spot;  // reclaim a burst node mid-run
   spot.machine = 4;
   spot.at = SimTime::minutes(20);
@@ -306,21 +367,22 @@ MultiStudyResult run_elastic_mix(std::uint64_t seed) {
   thrifty.budget_usd = 4.0;
   manager.add_study(thrifty, curved_trace(6, 8, 0.6, 4.0, 0.99),
                     default_policy_factory());
-  return manager.run();
+  MultiStudyResult result = manager.run();
+  return {std::move(result), timeline(sink)};
 }
 
 TEST(ElasticStudyManagerTest, AutoscaledSpotRunsAreDeterministicAcrossThirtySeeds) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const auto a = run_elastic_mix(seed);
     const auto b = run_elastic_mix(seed);
-    ASSERT_FALSE(a.event_log.empty()) << "seed " << seed;
-    ASSERT_EQ(a.event_log.size(), b.event_log.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.event_log.size(); ++i) {
-      ASSERT_EQ(a.event_log[i], b.event_log[i]) << "seed " << seed << " line " << i;
+    ASSERT_FALSE(a.timeline.empty()) << "seed " << seed;
+    ASSERT_EQ(a.timeline.size(), b.timeline.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+      ASSERT_EQ(a.timeline[i], b.timeline[i]) << "seed " << seed << " line " << i;
     }
-    ASSERT_EQ(csv_bytes(a), csv_bytes(b)) << "seed " << seed;
-    ASSERT_EQ(a.spend_usd, b.spend_usd) << "seed " << seed;
-    ASSERT_EQ(a.total_time, b.total_time) << "seed " << seed;
+    ASSERT_EQ(csv_bytes(a.result), csv_bytes(b.result)) << "seed " << seed;
+    ASSERT_EQ(a.result.spend_usd, b.result.spend_usd) << "seed " << seed;
+    ASSERT_EQ(a.result.total_time, b.result.total_time) << "seed " << seed;
   }
 }
 

@@ -50,7 +50,9 @@ void expect_equal(const StudySpec& a, const StudySpec& b) {
   EXPECT_EQ(a.generator, b.generator);
   EXPECT_EQ(a.configs, b.configs);
   EXPECT_EQ(std::isnan(a.target), std::isnan(b.target));
-  if (!std::isnan(a.target)) EXPECT_EQ(a.target, b.target);
+  if (!std::isnan(a.target)) {
+    EXPECT_EQ(a.target, b.target);
+  }
   EXPECT_EQ(a.deadline, b.deadline);
   EXPECT_EQ(a.weight, b.weight);
   EXPECT_EQ(a.seed, b.seed);

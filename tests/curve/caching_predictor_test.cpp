@@ -7,6 +7,8 @@
 
 #include "cluster/cluster.hpp"
 #include "core/policies/pop_policy.hpp"
+#include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/trace.hpp"
 
@@ -275,15 +277,15 @@ TEST(WarmStartTest, PlainPredictorUnderWarmModeIsSafe) {
 
 // ---------------------------------------------------------------------------
 // The config-default gate (ISSUE 6): across 30 seeds, warm-posterior reuse
-// must yield the same kill/keep decisions and a byte-identical golden event
-// log as cold start on the fig07 CIFAR workload. Warm posteriors are NOT
+// must yield the same kill/keep decisions and a byte-identical golden
+// timeline as cold start on the fig07 CIFAR workload. Warm posteriors are NOT
 // bit-identical to cold ones (different walker initialization); the property
 // is that POP's *decisions* — and hence the deterministic cluster trace —
 // do not change.
 // ---------------------------------------------------------------------------
 
 struct Fig07Cell {
-  std::vector<std::string> event_log;
+  std::vector<std::string> timeline;
   std::vector<std::size_t> epochs_completed;  ///< per job: the kill/keep outcome
   std::size_t warm_hits = 0;
 };
@@ -344,15 +346,16 @@ Fig07Cell run_fig07_cell(std::uint64_t seed, bool warm_start) {
   pop.rotate_opportunistic = false;
   core::PopPolicy policy(std::move(pop));
 
+  obs::RecordingSink sink;
   cluster::ClusterOptions copts;
   copts.machines = 2;
   copts.seed = seed;
-  copts.record_event_log = true;
+  copts.obs.sink = &sink;
   cluster::HyperDriveCluster cluster(trace, copts);
   const auto result = cluster.run(policy);
 
   Fig07Cell out;
-  out.event_log = cluster.event_log();
+  out.timeline = timeline(sink);
   for (const auto& js : result.job_stats) out.epochs_completed.push_back(js.epochs_completed);
   out.warm_hits = cached->warm_hits();
   return out;
@@ -363,16 +366,16 @@ TEST(WarmStartPropertyTest, SameDecisionsAndGoldenTraceAcross30Seeds) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const auto cold = run_fig07_cell(seed, /*warm_start=*/false);
     const auto warm = run_fig07_cell(seed, /*warm_start=*/true);
-    ASSERT_FALSE(cold.event_log.empty()) << "seed " << seed;
+    ASSERT_FALSE(cold.timeline.empty()) << "seed " << seed;
     EXPECT_EQ(cold.epochs_completed, warm.epochs_completed) << "seed " << seed;
-    const bool logs_equal = cold.event_log == warm.event_log;
-    EXPECT_TRUE(logs_equal) << "seed " << seed;
-    if (!logs_equal) {  // surface the first divergence, not a truncated dump
-      const std::size_t n = std::min(cold.event_log.size(), warm.event_log.size());
+    const bool timelines_equal = cold.timeline == warm.timeline;
+    EXPECT_TRUE(timelines_equal) << "seed " << seed;
+    if (!timelines_equal) {  // surface the first divergence, not a truncated dump
+      const std::size_t n = std::min(cold.timeline.size(), warm.timeline.size());
       for (std::size_t i = 0; i < n; ++i) {
-        if (cold.event_log[i] != warm.event_log[i]) {
+        if (cold.timeline[i] != warm.timeline[i]) {
           ADD_FAILURE() << "seed " << seed << " line " << i << ":\n  cold: "
-                        << cold.event_log[i] << "\n  warm: " << warm.event_log[i];
+                        << cold.timeline[i] << "\n  warm: " << warm.timeline[i];
           break;
         }
       }

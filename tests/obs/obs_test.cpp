@@ -3,9 +3,9 @@
 //     histogram bucket accounting;
 //   * TraceEvent rendering: legacy_text / render_line reproduce the golden
 //     event-log vocabulary, timeline CSV/JSONL field mapping;
-//   * golden-trace byte-identity: attaching a RecordingSink + registry to a
-//     faulty cluster run changes nothing — the event log is byte-identical,
-//     and every captured event renders 1:1 onto the legacy log lines;
+//   * sink invisibility: attaching a RecordingSink + registry to a faulty
+//     cluster run changes nothing — its encoded state and result are
+//     byte-identical to the bare run's;
 //   * metrics faithfulness: published counters mirror the result counters;
 //   * sweep timeline determinism: the cell-prefixed timeline CSV is
 //     byte-identical under --jobs 1 and --jobs 8;
@@ -29,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/sink.hpp"
+#include "util/bytes.hpp"
 #include "util/log.hpp"
 
 namespace hyperdrive {
@@ -124,6 +125,18 @@ TEST(ObsEventTest, RenderLineStampsTimeAndStudy) {
   EXPECT_EQ(obs::render_line(event), "t=1.500000000 study=alpha crash machine=2");
 }
 
+TEST(ObsEventTest, JsonlEscapesEveryControlByte) {
+  // Study names are whitespace-delimited tokens from user files, so they can
+  // carry control bytes; JSON allows none raw. The classic escapes stay.
+  obs::TraceEvent event(obs::EventKind::StudyCancelled);
+  event.study = "a\x01" "b\x1f\t\"\\";
+  std::ostringstream jsonl;
+  obs::write_timeline_jsonl(jsonl, std::vector<obs::TraceEvent>{event});
+  EXPECT_EQ(jsonl.str(),
+            "{\"time_s\":0.000000000,\"kind\":\"study-cancelled\","
+            "\"study\":\"a\\u0001b\\u001f\\t\\\"\\\\\"}\n");
+}
+
 TEST(ObsEventTest, TimelineFieldsMapAbsentIdsToEmpty) {
   obs::TraceEvent event(obs::EventKind::JobSuspend);
   event.time = SimTime::seconds(2.0);
@@ -182,7 +195,6 @@ cluster::ClusterOptions faulty_options() {
   options.overheads = cluster::cifar_overhead_model();
   options.epoch_jitter_sigma = 0.05;
   options.seed = 99;
-  options.record_event_log = true;
   options.fault_plan.seed = 5;
   options.fault_plan.default_message_faults.drop_prob = 0.05;
   cluster::NodeCrashEvent crash;
@@ -224,21 +236,18 @@ TEST(ObsGoldenTraceTest, AttachedSinkIsByteInvisible) {
   cluster::HyperDriveCluster observed(trace, observed_options);
   const auto observed_result = observed.run(p2);
 
-  // Sinks observe, never perturb: the golden trace is byte-identical...
-  ASSERT_FALSE(bare.event_log().empty());
-  EXPECT_EQ(bare.event_log(), observed.event_log());
+  // Sinks observe, never perturb: the full deterministic cluster state (job,
+  // machine, lease and health state, RNG streams) is byte-identical...
+  ASSERT_FALSE(sink.events.empty());
+  util::ByteWriter bare_state, observed_state;
+  bare.encode_state(bare_state);
+  observed.encode_state(observed_state);
+  EXPECT_EQ(bare_state.bytes(), observed_state.bytes());
   // ...and so is the result.
   EXPECT_EQ(bare_result.total_time, observed_result.total_time);
   EXPECT_EQ(bare_result.best_perf, observed_result.best_perf);
   EXPECT_EQ(bare_result.suspends, observed_result.suspends);
   EXPECT_EQ(bare_result.recovery, observed_result.recovery);
-
-  // The typed stream is the legacy log: every captured event renders onto
-  // exactly its line, 1:1 in emission order.
-  ASSERT_EQ(sink.events.size(), observed.event_log().size());
-  for (std::size_t i = 0; i < sink.events.size(); ++i) {
-    EXPECT_EQ(obs::render_line(sink.events[i]), observed.event_log()[i]);
-  }
 }
 
 TEST(ObsGoldenTraceTest, PublishedMetricsMirrorResultCounters) {
@@ -313,7 +322,7 @@ TEST(ObsLogBridgeTest, CapturedLogLinesBecomeEvents) {
   const auto saved = util::log_level();
   util::set_log_level(util::LogLevel::Info);
   {
-    obs::LogCapture capture(obs::Scope{&sink, &registry, ""});
+    obs::LogCapture capture(obs::Scope{&sink, &registry});
     util::log_info("obs_test", "hello ", 42);
     util::log_debug("obs_test", "below the level — dropped");
   }

@@ -1,6 +1,6 @@
 // AdmissionController tests (DESIGN.md §14): verdicts, pinned rejection
 // reason strings, per-tenant quota accounting, quota release on
-// finish/cancel, and the static|fair|deadline dequeue orders.
+// finish/cancel, and the static|fair|deadline|cost dequeue orders.
 #include "svc/admission.hpp"
 
 #include <gtest/gtest.h>
@@ -180,18 +180,22 @@ TEST(AdmissionTest, FairArbitrationPrefersLeastLoadedTenant) {
 }
 
 TEST(AdmissionTest, DeadlineArbitrationPicksEarliestDeadline) {
-  AdmissionOptions o = small_options();
-  o.max_running = 1;
-  o.arbitration = core::ArbitrationMode::DeadlineAware;
-  AdmissionController c(o);
-  EXPECT_EQ(go(c, 1, "alice").verdict, AdmissionVerdict::Run);
-  EXPECT_EQ(go(c, 2, "alice", 4, SimTime::hours(10)).verdict, AdmissionVerdict::Queue);
-  EXPECT_EQ(go(c, 3, "bob", 4, SimTime::hours(2)).verdict, AdmissionVerdict::Queue);
-  EXPECT_EQ(go(c, 4, "carol").verdict, AdmissionVerdict::Queue);  // no deadline
-  EXPECT_TRUE(c.release(1));
-  const auto next = c.next_runnable();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(*next, 3u);  // earliest deadline first; deadline-less go last
+  // Cost arbitration extends deadline-aware, so it dequeues the same way.
+  for (const auto mode : {core::ArbitrationMode::DeadlineAware, core::ArbitrationMode::Cost}) {
+    SCOPED_TRACE(core::to_string(mode));
+    AdmissionOptions o = small_options();
+    o.max_running = 1;
+    o.arbitration = mode;
+    AdmissionController c(o);
+    EXPECT_EQ(go(c, 1, "alice").verdict, AdmissionVerdict::Run);
+    EXPECT_EQ(go(c, 2, "alice", 4, SimTime::hours(10)).verdict, AdmissionVerdict::Queue);
+    EXPECT_EQ(go(c, 3, "bob", 4, SimTime::hours(2)).verdict, AdmissionVerdict::Queue);
+    EXPECT_EQ(go(c, 4, "carol").verdict, AdmissionVerdict::Queue);  // no deadline
+    EXPECT_TRUE(c.release(1));
+    const auto next = c.next_runnable();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(*next, 3u);  // earliest deadline first; deadline-less go last
+  }
 }
 
 }  // namespace
