@@ -7,9 +7,11 @@
 //   batched  the fused BatchEvaluator kernels (the default)
 //   warm     batched + warm posterior reuse across the growing prefix
 //
-// and records the trajectory in BENCH_predictor.json (schema: EXPERIMENTS.md).
-// The acceptance bar for the fast path is speedup_batched >= 5x with the
-// equivalence suite proving bit-identity.
+// plus the LSQ predictor that schedules POP's sweep cells, on POP-shaped
+// requests (prefixes 10, 20, ..., 100; every future epoch n+1..120), and
+// records the trajectory in BENCH_predictor.json (schema: EXPERIMENTS.md).
+// The acceptance bar for the MCMC fast path is speedup_batched >= 5x with
+// the equivalence suite proving bit-identity.
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 
@@ -64,12 +66,36 @@ double time_predicts(const curve::CurvePredictor& predictor,
   return static_cast<double>(n) / elapsed;
 }
 
+/// POP-shaped LSQ requests: each prefix 10, 20, ..., 100 of the curve asks
+/// for every future epoch n+1..120, as POP's expected-remaining-time pmf
+/// does at an evaluation boundary. Returns predictions/s.
+double time_lsq_predicts(const curve::CurvePredictor& predictor,
+                         const std::vector<double>& full_curve, std::size_t repeats) {
+  constexpr std::size_t kMaxEpoch = 120;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < repeats; ++r) {
+    for (std::size_t prefix = 10; prefix <= 100; prefix += 10) {
+      std::vector<double> history(full_curve.begin(),
+                                  full_curve.begin() + static_cast<std::ptrdiff_t>(prefix));
+      history.front() += 1e-9 * static_cast<double>(r + 1);  // a fresh curve per repeat
+      std::vector<double> future;
+      for (std::size_t e = prefix + 1; e <= kMaxEpoch; ++e) {
+        future.push_back(static_cast<double>(e));
+      }
+      (void)predictor.predict(history, future, static_cast<double>(kMaxEpoch));
+      ++n;
+    }
+  }
+  return static_cast<double>(n) / seconds_since(t0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_bench_args(argc, argv);
   bench::print_header("perf_predictor",
-                      "single-cell MCMC predictor throughput: scalar vs batched vs warm");
+                      "single-cell predictor throughput: MCMC scalar vs batched vs warm, LSQ");
 
   workload::CifarWorkloadModel model;
   const auto trace = workload::generate_trace(model, 8, /*seed=*/4242);
@@ -96,6 +122,13 @@ int main(int argc, char** argv) {
   std::printf("  warm:    %8.3f predicts/s  (speedup %.2fx, %zu warm seeds)\n",
               warm_per_s, warm_per_s / scalar_per_s, warm->warm_hits());
 
+  curve::PredictorConfig lsq_config;
+  lsq_config.seed = 42;
+  const auto lsq = curve::make_lsq_predictor(lsq_config);
+  const std::size_t lsq_repeats = options.smoke ? 3 : 40;
+  const double lsq_per_s = time_lsq_predicts(*lsq, curve_data, lsq_repeats);
+  std::printf("  lsq:     %8.3f predicts/s  (POP-shaped, prefixes 10..100)\n", lsq_per_s);
+
   // Bit-identity sanity on the exact workload just timed (the full contract
   // lives in predictor_equivalence_test).
   if (mean_scalar != mean_batched) {
@@ -110,6 +143,7 @@ int main(int argc, char** argv) {
   json.set("warm_predicts_per_s", warm_per_s);
   json.set("speedup_batched", batched_per_s / scalar_per_s);
   json.set("speedup_warm", warm_per_s / scalar_per_s);
+  json.set("lsq_predicts_per_s", lsq_per_s);
   json.set_count("nwalkers", 100);
   json.set_count("nsamples", options.smoke ? 120 : 700);
   json.set_count("repeats", repeats);

@@ -21,6 +21,14 @@ bool rejected_at_or_below(const AcceptanceCutoff& cut, double bound) {
   const double ratio = cut.a_term + bound - cut.logp_cur;
   return !std::isnan(ratio) && !(cut.log_u < ratio);
 }
+
+/// One walker's parameter block in the struct-of-arrays transpose:
+/// parameter d sits `stride` doubles after parameter d-1.
+struct Column {
+  const double* first;
+  std::size_t stride;
+  double operator[](std::size_t d) const noexcept { return first[d * stride]; }
+};
 }  // namespace
 
 void BatchEvaluator::reset(const CurveEnsemble& ensemble) {
@@ -35,24 +43,12 @@ void BatchEvaluator::reset(const CurveEnsemble& ensemble) {
   bounds_hi_.resize(weight_offset_);
   for (std::size_t k = 0; k < nfam; ++k) {
     const auto& model = ensemble.model(k);
-    const auto name = model.name();
-    Slot slot;
-    if (name == "pow3") slot.kind = Family::kPow3;
-    else if (name == "pow4") slot.kind = Family::kPow4;
-    else if (name == "log_log_linear") slot.kind = Family::kLogLogLinear;
-    else if (name == "log_power") slot.kind = Family::kLogPower;
-    else if (name == "vapor_pressure") slot.kind = Family::kVaporPressure;
-    else if (name == "hill3") slot.kind = Family::kHill3;
-    else if (name == "mmf") slot.kind = Family::kMmf;
-    else if (name == "exp4") slot.kind = Family::kExp4;
-    else if (name == "janoschek") slot.kind = Family::kJanoschek;
-    else if (name == "weibull") slot.kind = Family::kWeibull;
-    else if (name == "ilog2") slot.kind = Family::kIlog2;
-    else
+    const auto kind = family_of(model.name());
+    if (!kind) {
       throw std::invalid_argument("BatchEvaluator: unfusable model family: " +
-                                  std::string(name));
-    slot.offset = ensemble.param_offset(k);
-    slot.nparams = model.num_params();
+                                  std::string(model.name()));
+    }
+    const Slot slot{*kind, ensemble.param_offset(k)};
     families_.push_back(slot);
     const auto& box = model.bounds();
     for (std::size_t d = 0; d < box.size(); ++d) {
@@ -68,74 +64,21 @@ void BatchEvaluator::bind(std::span<const double> ys) {
   if (dim_ == 0) throw std::logic_error("BatchEvaluator: bind() before reset()");
   ys_.assign(ys.begin(), ys.end());
   const std::size_t n = ys_.size();
-  xs_.resize(n + 1);
-  log_x_.resize(n + 1);
-  log_xp1_.resize(n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(i + 1);
-    xs_[i] = x;
-    log_x_[i] = std::log(x);
-    log_xp1_[i] = std::log(x + 1.0);
-  }
-  xs_[n] = horizon_;
-  log_x_[n] = std::log(horizon_);
-  log_xp1_[n] = std::log(horizon_ + 1.0);
+  points_.resize(n + 1);
+  for (std::size_t i = 0; i < n; ++i) points_[i] = EpochPoint::at(static_cast<double>(i + 1));
+  points_[n] = EpochPoint::at(horizon_);
 }
 
 double BatchEvaluator::eval_slot(std::size_t idx, std::span<const double> theta)
     const noexcept {
-  const double x = xs_[idx];
-  const double lx = log_x_[idx];
-  const double lxp1 = log_xp1_[idx];
+  const EpochPoint& point = points_[idx];
   double y = 0.0;
   for (std::size_t k = 0; k < families_.size(); ++k) {
     if (theta[weight_offset_ + k] <= 0.0) continue;
     const double* t = theta.data() + families_[k].offset;
-    double fk;
-    switch (families_[k].kind) {
-      case Family::kPow3:
-        fk = t[0] - t[1] * std::pow(x, -t[2]);
-        break;
-      case Family::kPow4: {
-        const double base = t[1] * x + t[2];
-        fk = base <= 0.0 ? std::nan("") : t[0] - std::pow(base, -t[3]);
-        break;
-      }
-      case Family::kLogLogLinear: {
-        const double inner = t[0] * lx + t[1];
-        fk = inner <= 0.0 ? std::nan("") : std::log(inner);
-        break;
-      }
-      case Family::kLogPower:
-        fk = t[0] / (1.0 + std::pow(x / hoist_[k], t[2]));
-        break;
-      case Family::kVaporPressure:
-        fk = std::exp(t[0] + t[1] / x + t[2] * lx);
-        break;
-      case Family::kHill3: {
-        const double xe = std::pow(x, t[1]);
-        fk = t[0] * xe / (hoist_[k] + xe);
-        break;
-      }
-      case Family::kMmf:
-        fk = t[0] - (t[0] - t[1]) / (1.0 + std::pow(t[2] * x, t[3]));
-        break;
-      case Family::kExp4:
-        fk = t[0] - std::exp(-t[1] * std::pow(x, t[3]) + t[2]);
-        break;
-      case Family::kJanoschek:
-        fk = t[0] - (t[0] - t[1]) * std::exp(-t[2] * std::pow(x, t[3]));
-        break;
-      case Family::kWeibull:
-        fk = t[0] - (t[0] - t[1]) * std::exp(-std::pow(t[2] * x, t[3]));
-        break;
-      case Family::kIlog2:
-        fk = t[0] - t[1] / lxp1;
-        break;
-      default:
-        fk = std::nan("");
-        break;
-    }
+    const double fk = visit_family(families_[k].kind, [&](auto tag) {
+      return family_eval<decltype(tag)::value>(point, t, hoist_[k]);
+    });
     if (!std::isfinite(fk)) return std::nan("");
     y += wn_[k] * fk;
   }
@@ -202,8 +145,9 @@ double BatchEvaluator::log_prob_impl(std::span<const double> theta,
     hoist_[k] = 0.0;
     if (w > 0.0) {
       const double* t = theta.data() + families_[k].offset;
-      if (families_[k].kind == Family::kLogPower) hoist_[k] = std::exp(t[1]);
-      else if (families_[k].kind == Family::kHill3) hoist_[k] = std::pow(t[2], t[1]);
+      hoist_[k] = visit_family(families_[k].kind, [&](auto tag) {
+        return family_hoist<decltype(tag)::value>(t);
+      });
     }
   }
 
@@ -309,8 +253,8 @@ void BatchEvaluator::log_prob_batch(std::span<const double> thetas, std::size_t 
       double h = 0.0;
       if (w > 0.0) {
         const double* t = th + families_[k].offset;
-        if (families_[k].kind == Family::kLogPower) h = std::exp(t[1]);
-        else if (families_[k].kind == Family::kHill3) h = std::pow(t[2], t[1]);
+        h = visit_family(families_[k].kind,
+                         [&](auto tag) { return family_hoist<decltype(tag)::value>(t); });
       }
       hoist_b_[k * rows + r] = h;
     }
@@ -326,97 +270,21 @@ void BatchEvaluator::log_prob_batch(std::span<const double> thetas, std::size_t 
   const std::size_t n = ys_.size();
   acc_.resize(rows);
   for (std::size_t i = 0; i <= n; ++i) {
-    const double x = xs_[i];
-    const double lx = log_x_[i];
-    const double lxp1 = log_xp1_[i];
+    const EpochPoint& point = points_[i];
     std::fill(acc_.begin(), acc_.end(), 0.0);
     for (std::size_t k = 0; k < nfam; ++k) {
       const Slot& slot = families_[k];
       const double* p = soa_.data() + slot.offset * rows;
-      const double* t0 = p;
-      const double* t1 = p + rows;
-      const double* t2 = p + 2 * rows;
-      const double* t3 = p + 3 * rows;
       const double* wn = wn_b_.data() + k * rows;
       const unsigned char* wact = wact_b_.data() + k * rows;
       const double* hp = hoist_b_.data() + k * rows;
-      switch (slot.kind) {
-        case Family::kPow3:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] += wn[r] * (t0[r] - t1[r] * std::pow(x, -t2[r]));
-          }
-          break;
-        case Family::kPow4:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            const double base = t1[r] * x + t2[r];
-            const double fk =
-                base <= 0.0 ? std::nan("") : t0[r] - std::pow(base, -t3[r]);
-            acc_[r] += wn[r] * fk;
-          }
-          break;
-        case Family::kLogLogLinear:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            const double inner = t0[r] * lx + t1[r];
-            const double fk = inner <= 0.0 ? std::nan("") : std::log(inner);
-            acc_[r] += wn[r] * fk;
-          }
-          break;
-        case Family::kLogPower:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] += wn[r] * (t0[r] / (1.0 + std::pow(x / hp[r], t2[r])));
-          }
-          break;
-        case Family::kVaporPressure:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] += wn[r] * std::exp(t0[r] + t1[r] / x + t2[r] * lx);
-          }
-          break;
-        case Family::kHill3:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            const double xe = std::pow(x, t1[r]);
-            acc_[r] += wn[r] * (t0[r] * xe / (hp[r] + xe));
-          }
-          break;
-        case Family::kMmf:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] +=
-                wn[r] * (t0[r] - (t0[r] - t1[r]) / (1.0 + std::pow(t2[r] * x, t3[r])));
-          }
-          break;
-        case Family::kExp4:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] += wn[r] * (t0[r] - std::exp(-t1[r] * std::pow(x, t3[r]) + t2[r]));
-          }
-          break;
-        case Family::kJanoschek:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] +=
-                wn[r] * (t0[r] - (t0[r] - t1[r]) * std::exp(-t2[r] * std::pow(x, t3[r])));
-          }
-          break;
-        case Family::kWeibull:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] +=
-                wn[r] * (t0[r] - (t0[r] - t1[r]) * std::exp(-std::pow(t2[r] * x, t3[r])));
-          }
-          break;
-        case Family::kIlog2:
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (!live_[r] || !wact[r]) continue;
-            acc_[r] += wn[r] * (t0[r] - t1[r] / lxp1);
-          }
-          break;
-      }
+      visit_family(slot.kind, [&](auto tag) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (!live_[r] || !wact[r]) continue;
+          const Column t{p + r, rows};
+          acc_[r] += wn[r] * family_eval<decltype(tag)::value>(point, t, hp[r]);
+        }
+      });
     }
     if (i < n) {
       for (std::size_t r = 0; r < rows; ++r) {
@@ -454,58 +322,16 @@ double BatchEvaluator::eval_curve(double x, std::span<const double> theta) const
     if (w > 0.0) wsum += w;
   }
   if (wsum <= 0.0) return std::nan("");
-  const double lx = std::log(x);
-  const double lxp1 = std::log(x + 1.0);
+  const EpochPoint point = EpochPoint::at(x);
   double y = 0.0;
   for (std::size_t k = 0; k < families_.size(); ++k) {
     const double w = theta[weight_offset_ + k];
     if (w <= 0.0) continue;
     const double* t = theta.data() + families_[k].offset;
-    double fk;
-    switch (families_[k].kind) {
-      case Family::kPow3:
-        fk = t[0] - t[1] * std::pow(x, -t[2]);
-        break;
-      case Family::kPow4: {
-        const double base = t[1] * x + t[2];
-        fk = base <= 0.0 ? std::nan("") : t[0] - std::pow(base, -t[3]);
-        break;
-      }
-      case Family::kLogLogLinear: {
-        const double inner = t[0] * lx + t[1];
-        fk = inner <= 0.0 ? std::nan("") : std::log(inner);
-        break;
-      }
-      case Family::kLogPower:
-        fk = t[0] / (1.0 + std::pow(x / std::exp(t[1]), t[2]));
-        break;
-      case Family::kVaporPressure:
-        fk = std::exp(t[0] + t[1] / x + t[2] * lx);
-        break;
-      case Family::kHill3: {
-        const double xe = std::pow(x, t[1]);
-        fk = t[0] * xe / (std::pow(t[2], t[1]) + xe);
-        break;
-      }
-      case Family::kMmf:
-        fk = t[0] - (t[0] - t[1]) / (1.0 + std::pow(t[2] * x, t[3]));
-        break;
-      case Family::kExp4:
-        fk = t[0] - std::exp(-t[1] * std::pow(x, t[3]) + t[2]);
-        break;
-      case Family::kJanoschek:
-        fk = t[0] - (t[0] - t[1]) * std::exp(-t[2] * std::pow(x, t[3]));
-        break;
-      case Family::kWeibull:
-        fk = t[0] - (t[0] - t[1]) * std::exp(-std::pow(t[2] * x, t[3]));
-        break;
-      case Family::kIlog2:
-        fk = t[0] - t[1] / lxp1;
-        break;
-      default:
-        fk = std::nan("");
-        break;
-    }
+    const double fk = visit_family(families_[k].kind, [&](auto tag) {
+      constexpr Family kF = decltype(tag)::value;
+      return family_eval<kF>(point, t, family_hoist<kF>(t));
+    });
     if (!std::isfinite(fk)) return std::nan("");
     y += (w / wsum) * fk;
   }

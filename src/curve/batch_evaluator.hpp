@@ -13,6 +13,9 @@
 //   * per-theta constants hoisted out of the epoch loop (normalized weights
 //     w_k / sum_j w_j, exp(b) for log_power, kappa^eta for hill3),
 //   * per-epoch constants precomputed once per bind() (x, log x, log(x+1)),
+//   * family expressions from the shared kernel header
+//     (curve/family_kernels.hpp), the same ones the least-squares fitter
+//     runs,
 //   * struct-of-arrays log_prob_batch for the initial walker sweep: thetas
 //     are transposed so the per-family inner loops run contiguously across
 //     walkers.
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "curve/ensemble.hpp"
+#include "curve/family_kernels.hpp"
 #include "curve/mcmc.hpp"
 
 namespace hyperdrive::curve {
@@ -69,24 +73,9 @@ class BatchEvaluator final : public LogProbFn {
   [[nodiscard]] double eval_curve(double x, std::span<const double> theta) const noexcept;
 
  private:
-  enum class Family : unsigned char {
-    kPow3,
-    kPow4,
-    kLogLogLinear,
-    kLogPower,
-    kVaporPressure,
-    kHill3,
-    kMmf,
-    kExp4,
-    kJanoschek,
-    kWeibull,
-    kIlog2,
-  };
-
   struct Slot {
     Family kind;
     std::size_t offset;   ///< first parameter index in packed theta
-    std::size_t nparams;
   };
 
   /// Fused ensemble curve at table slot `idx` (epochs 1..n, horizon at n).
@@ -109,9 +98,7 @@ class BatchEvaluator final : public LogProbFn {
   // bind() state: the observed prefix and per-epoch tables. Slot i holds
   // epoch i+1 for i < ys_.size(); the last slot holds the horizon.
   std::vector<double> ys_;
-  std::vector<double> xs_;
-  std::vector<double> log_x_;
-  std::vector<double> log_xp1_;
+  std::vector<EpochPoint> points_;
 
   // Scalar-kernel scratch (per theta): normalized weights and hoisted
   // per-family constants.

@@ -1,30 +1,13 @@
 #include "curve/caching_predictor.hpp"
 
-#include <cstring>
 #include <stdexcept>
+
+#include "util/hash.hpp"
 
 namespace hyperdrive::curve {
 
-namespace {
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
-/// FNV-1a over doubles' bit patterns.
-std::uint64_t hash_doubles(std::uint64_t h, std::span<const double> xs) {
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(xs.size());
-  for (const double x : xs) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    mix(bits);
-  }
-  return h;
-}
-}  // namespace
+using util::hash_doubles;
+using util::kFnvBasis;
 
 CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
                                    std::size_t capacity)

@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "curve/nelder_mead.hpp"
+#include "curve/lsq_fit.hpp"
 
 namespace hyperdrive::curve {
 
@@ -108,33 +108,11 @@ std::vector<double> CurveEnsemble::initial_theta(std::span<const double> ys) con
 
   for (std::size_t k = 0; k < models_.size(); ++k) {
     const auto& model = *models_[k];
-    const auto& box = model.bounds();
-    auto objective = [&](const std::vector<double>& raw) {
-      // Clamp into the bounds box so the optimizer cannot wander outside
-      // the prior support.
-      std::vector<double> p = raw;
-      for (std::size_t d = 0; d < p.size(); ++d) {
-        if (p[d] < box[d].lo) p[d] = box[d].lo;
-        if (p[d] > box[d].hi) p[d] = box[d].hi;
-      }
-      double mse = 0.0;
-      for (std::size_t i = 0; i < ys.size(); ++i) {
-        const double f = model.eval(static_cast<double>(i + 1), p);
-        if (!std::isfinite(f)) return std::numeric_limits<double>::infinity();
-        const double r = ys[i] - f;
-        mse += r * r;
-      }
-      return mse / static_cast<double>(std::max<std::size_t>(1, ys.size()));
-    };
-
-    auto fit = nelder_mead(objective, model.initial_guess(ys));
-    // Clamp the fitted parameters the same way the objective did.
-    for (std::size_t d = 0; d < fit.x.size(); ++d) {
-      if (fit.x[d] < box[d].lo) fit.x[d] = box[d].lo;
-      if (fit.x[d] > box[d].hi) fit.x[d] = box[d].hi;
+    const FamilyFit fit = fit_family(model, family_of(model.name()), ys);
+    for (std::size_t d = 0; d < model.num_params(); ++d) {
+      theta[offsets_[k] + d] = fit.params[d];
     }
-    for (std::size_t d = 0; d < fit.x.size(); ++d) theta[offsets_[k] + d] = fit.x[d];
-    mses[k] = std::isfinite(fit.fx) ? fit.fx : 1.0;
+    mses[k] = std::isfinite(fit.mse) ? fit.mse : 1.0;
     best_mse = std::min(best_mse, mses[k]);
   }
 

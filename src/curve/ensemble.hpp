@@ -72,9 +72,11 @@ class CurveEnsemble {
   [[nodiscard]] double log_posterior(std::span<const double> theta,
                                      std::span<const double> ys) const noexcept;
 
-  /// Packed starting point: per-family least-squares fits via Nelder–Mead,
-  /// weights proportional to each family's inverse MSE, sigma from the best
-  /// fit's residuals. Deterministic given ys.
+  /// Packed starting point: per-family least-squares fits (curve::
+  /// fit_family, the LSQ predictor's fitter), weights proportional to each
+  /// family's inverse MSE, sigma from the best fit's residuals.
+  /// Deterministic given ys. Throws std::invalid_argument for a family with
+  /// more than kNelderMeadMaxDim parameters.
   [[nodiscard]] std::vector<double> initial_theta(std::span<const double> ys) const;
 
   /// Jitter a packed theta into a valid random walker start near `center`.

@@ -2,36 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "curve/batch_evaluator.hpp"
-#include "curve/nelder_mead.hpp"
+#include "curve/lsq_fit.hpp"
+#include "util/hash.hpp"
 
 namespace hyperdrive::curve {
 
 namespace {
-
-/// FNV-1a over the bit patterns of the history so that a predictor call is
-/// deterministic per (seed, history) regardless of call order.
-std::uint64_t hash_history(std::span<const double> ys) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(ys.size());
-  for (double y : ys) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(y));
-    std::memcpy(&bits, &y, sizeof(bits));
-    mix(bits);
-  }
-  return h;
-}
 
 std::vector<std::unique_ptr<ParametricModel>> models_from_config(
     const PredictorConfig& config) {
@@ -84,7 +64,8 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
                                              WarmPosterior* out) const override {
     validate_request(history, future_epochs, horizon);
     CurveEnsemble ensemble(models_from_config(config_), horizon, config_.prior);
-    util::Rng rng(util::derive_seed(config_.seed, hash_history(history)));
+    util::Rng rng(
+        util::derive_seed(config_.seed, util::hash_doubles(util::kFnvBasis, history)));
     const std::size_t dim = ensemble.dim();
 
     BatchEvaluator* eval = nullptr;
@@ -177,9 +158,26 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
   PredictorConfig config_;
 };
 
+/// Per-thread LSQ scratch, reused across predicts as BatchEvaluator's arenas
+/// are: beyond its result, a steady-state predict allocates only the
+/// families' initial-guess vectors.
+struct LsqScratch {
+  std::vector<FamilyFit> fits;
+  std::vector<double> weights;
+  std::vector<EpochPoint> future;  ///< the requested epochs, bound once
+  std::vector<double> spread;   ///< min(2, extrapolation distance) per future epoch
+  std::vector<double> curves;   ///< family k's fitted curve at row k
+  std::vector<std::size_t> finite_prefix;  ///< per family: leading finite epochs
+  std::vector<unsigned char> tabled;       ///< per family: row k filled
+};
+
 class LsqPredictor final : public CurvePredictor {
  public:
-  explicit LsqPredictor(PredictorConfig config) : config_(std::move(config)) {}
+  explicit LsqPredictor(PredictorConfig config)
+      : config_(std::move(config)), models_(models_from_config(config_)) {
+    kinds_.reserve(models_.size());
+    for (const auto& model : models_) kinds_.push_back(*family_of(model->name()));
+  }
 
   [[nodiscard]] std::string_view name() const noexcept override { return "lsq_bootstrap"; }
 
@@ -187,47 +185,26 @@ class LsqPredictor final : public CurvePredictor {
                                         std::span<const double> future_epochs,
                                         double horizon) const override {
     validate_request(history, future_epochs, horizon);
-    const auto models = models_from_config(config_);
-    util::Rng rng(util::derive_seed(config_.seed ^ 0xf457, hash_history(history)));
+    util::Rng rng(util::derive_seed(config_.seed ^ 0xf457,
+                                    util::hash_doubles(util::kFnvBasis, history)));
+    thread_local LsqScratch scratch;
+    const std::size_t nfam = models_.size();
 
     // Per-family least-squares fit.
-    struct Fit {
-      std::vector<double> params;
-      double mse = std::numeric_limits<double>::infinity();
-    };
-    std::vector<Fit> fits(models.size());
+    auto& fits = scratch.fits;
+    fits.resize(nfam);
     double best_mse = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < models.size(); ++k) {
-      const auto& model = *models[k];
-      const auto& box = model.bounds();
-      auto objective = [&](const std::vector<double>& raw) {
-        std::vector<double> p = raw;
-        for (std::size_t d = 0; d < p.size(); ++d) {
-          p[d] = std::clamp(p[d], box[d].lo, box[d].hi);
-        }
-        double mse = 0.0;
-        for (std::size_t i = 0; i < history.size(); ++i) {
-          const double f = model.eval(static_cast<double>(i + 1), p);
-          if (!std::isfinite(f)) return std::numeric_limits<double>::infinity();
-          const double r = history[i] - f;
-          mse += r * r;
-        }
-        return mse / static_cast<double>(history.size());
-      };
-      auto fit = nelder_mead(objective, model.initial_guess(history));
-      for (std::size_t d = 0; d < fit.x.size(); ++d) {
-        fit.x[d] = std::clamp(fit.x[d], box[d].lo, box[d].hi);
-      }
-      fits[k].params = std::move(fit.x);
-      fits[k].mse = fit.fx;
+    for (std::size_t k = 0; k < nfam; ++k) {
+      fits[k] = fit_family(*models_[k], kinds_[k], history);
       best_mse = std::min(best_mse, fits[k].mse);
     }
 
     // Mixture weights via a softmax over fit quality: families that explain
     // the prefix much worse than the best get negligible weight.
-    std::vector<double> weights(models.size(), 0.0);
+    auto& weights = scratch.weights;
+    weights.assign(nfam, 0.0);
     const double scale = std::max(best_mse, 1e-6);
-    for (std::size_t k = 0; k < models.size(); ++k) {
+    for (std::size_t k = 0; k < nfam; ++k) {
       if (!std::isfinite(fits[k].mse)) continue;
       weights[k] = std::exp(-0.5 * (fits[k].mse - best_mse) / scale);
     }
@@ -251,13 +228,29 @@ class LsqPredictor final : public CurvePredictor {
     // Bootstrap: sample a family, jitter its fitted curve by a random offset
     // and slope perturbation scaled to the residual noise. A configurable
     // fraction of samples instead follow geometrically-damped continuations
-    // of the recent slope (see lsq_optimistic_fraction).
+    // of the recent slope (see lsq_optimistic_fraction). A family's fitted
+    // curve is deterministic, so it is evaluated once, the first time the
+    // family is drawn; each sample still draws its deviates in the order a
+    // per-sample evaluation would (the samples are pinned by
+    // lsq_digest_test).
     const std::size_t width = future_epochs.size();
-    std::vector<double> flat;
-    flat.reserve(config_.lsq_samples * width);
-    std::vector<double> curve(width);
     const double n = static_cast<double>(history.size());
+    auto& spread = scratch.spread;
+    spread.resize(width);
+    scratch.future.resize(width);
+    for (std::size_t e = 0; e < width; ++e) {
+      scratch.future[e] = EpochPoint::at(future_epochs[e]);
+      // Uncertainty about the asymptote grows with extrapolation distance.
+      const double dist = std::max(0.0, (future_epochs[e] - n) / std::max(1.0, n));
+      spread[e] = std::min(2.0, dist);
+    }
+    scratch.curves.resize(nfam * width);
+    scratch.finite_prefix.resize(nfam);
+    scratch.tabled.assign(nfam, 0);
+
+    std::vector<double> flat(config_.lsq_samples * width);
     for (std::size_t s = 0; s < config_.lsq_samples; ++s) {
+      double* curve = flat.data() + s * width;
       if (rng.bernoulli(config_.lsq_optimistic_fraction)) {
         // Continuation sample: y(x) = last + slope * sum_{j<=x-n} gamma^j,
         // gamma ~ U(0.80, 1.0). gamma -> 1 extrapolates the trend linearly;
@@ -273,41 +266,58 @@ class LsqPredictor final : public CurvePredictor {
           curve[e] = std::clamp(last + slope * geo + offset + rng.normal(0.0, sigma),
                                 config_.prior.y_lo, config_.prior.y_hi);
         }
-        flat.insert(flat.end(), curve.begin(), curve.end());
         continue;
       }
       const std::size_t k = rng.categorical(weights);
-      const auto& model = *models[k];
+      const double* fitted = tabled_curve(scratch, k);
+      const std::size_t finite = scratch.finite_prefix[k];
       const double offset = rng.normal(0.0, sigma);
-      // Uncertainty about the asymptote grows with extrapolation distance.
       const double drift = rng.normal(0.0, sigma);
-      bool ok = true;
-      for (std::size_t e = 0; e < width; ++e) {
-        const double x = future_epochs[e];
-        double y = model.eval(x, fits[k].params);
-        if (!std::isfinite(y)) {
-          ok = false;
-          break;
-        }
-        const double dist = std::max(0.0, (x - n) / std::max(1.0, n));
+      for (std::size_t e = 0; e < finite; ++e) {
+        double y = fitted[e];
         // Offset/drift model parameter uncertainty; the extra per-epoch term
         // is the observation noise of the posterior predictive.
-        y += offset + drift * std::min(2.0, dist) + rng.normal(0.0, sigma);
+        y += offset + drift * spread[e] + rng.normal(0.0, sigma);
         curve[e] = std::clamp(y, config_.prior.y_lo, config_.prior.y_hi);
       }
-      if (!ok) {
-        // Fall back to a flat continuation of the last observation.
-        std::fill(curve.begin(), curve.end(), last);
-        for (auto& y : curve) y += rng.normal(0.0, sigma);
+      if (finite < width) {
+        // The fitted curve goes non-finite at epoch `finite` (after one
+        // noise draw per finite epoch): fall back to a flat continuation of
+        // the last observation.
+        for (std::size_t e = 0; e < width; ++e) curve[e] = last + rng.normal(0.0, sigma);
       }
-      flat.insert(flat.end(), curve.begin(), curve.end());
     }
     return CurvePrediction(std::vector<double>(future_epochs.begin(), future_epochs.end()),
                            std::move(flat), config_.lsq_samples);
   }
 
  private:
+  /// Row k of the fitted-curve table (family k at every future epoch, up to
+  /// its first non-finite value), filled the first time family k is drawn.
+  const double* tabled_curve(LsqScratch& scratch, std::size_t k) const {
+    const std::size_t width = scratch.future.size();
+    double* row = scratch.curves.data() + k * width;
+    if (scratch.tabled[k] != 0) return row;
+    const auto& params = scratch.fits[k].params;
+    scratch.finite_prefix[k] = visit_family(kinds_[k], [&](auto tag) {
+      constexpr Family kF = decltype(tag)::value;
+      const double hoist = family_hoist<kF>(params);
+      for (std::size_t e = 0; e < width; ++e) {
+        const double y = family_eval<kF>(scratch.future[e], params, hoist);
+        if (!std::isfinite(y)) return e;
+        row[e] = y;
+      }
+      return width;
+    });
+    scratch.tabled[k] = 1;
+    return row;
+  }
+
   PredictorConfig config_;
+  /// The family table, built once: the reference models (bounds and
+  /// initial guesses) and their kernels.
+  std::vector<std::unique_ptr<ParametricModel>> models_;
+  std::vector<Family> kinds_;
 };
 
 class LastValuePredictor final : public CurvePredictor {
@@ -320,7 +330,8 @@ class LastValuePredictor final : public CurvePredictor {
                                         std::span<const double> future_epochs,
                                         double horizon) const override {
     validate_request(history, future_epochs, horizon);
-    util::Rng rng(util::derive_seed(config_.seed ^ 0x1a57, hash_history(history)));
+    util::Rng rng(util::derive_seed(config_.seed ^ 0x1a57,
+                                    util::hash_doubles(util::kFnvBasis, history)));
     const double last = history.back();
     // Noise floor from recent history variability.
     double sigma = 0.01;

@@ -137,8 +137,14 @@ class WarmStartPredictor {
 /// Implements WarmStartPredictor.
 [[nodiscard]] std::unique_ptr<CurvePredictor> make_mcmc_predictor(PredictorConfig config);
 
-/// Fast approximation: per-family least-squares fits + residual bootstrap.
-/// Orders of magnitude cheaper; used by the trace-driven simulator benches.
+/// Fast approximation: per-family least-squares fits + residual bootstrap,
+/// the predictor that schedules POP's sweep cells (core::make_default_
+/// predictor). A predict fits every family (about 2k Nelder–Mead objective
+/// calls for a 30-epoch prefix, bound by libm pow/exp) and then draws
+/// lsq_samples curves; it is about 25x cheaper than the paper-setting MCMC
+/// predictor (bench/perf_predictor), yet still most of a pop-lsq cell.
+/// Fits and samples are bit-identical to the scalar reference models
+/// (DESIGN.md §11). Throws std::invalid_argument for an unknown family name.
 [[nodiscard]] std::unique_ptr<CurvePredictor> make_lsq_predictor(PredictorConfig config);
 
 /// Degenerate predictor that extrapolates the last observation flat, with a

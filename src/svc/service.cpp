@@ -19,6 +19,18 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Joins its thread (if any) on scope exit.
+struct JoinOnExit {
+  JoinOnExit() = default;
+  JoinOnExit(const JoinOnExit&) = delete;
+  JoinOnExit& operator=(const JoinOnExit&) = delete;
+  ~JoinOnExit() {
+    if (thread.joinable()) thread.join();
+  }
+
+  std::thread thread;
+};
+
 /// Durable-write discipline shared with the checkpoint store: the journal is
 /// only ever observed in a complete state (tmp + rename).
 void write_file_atomic(const std::string& path, const std::string& content) {
@@ -240,7 +252,17 @@ SubmitOutcome StudyService::submit(const std::string& tenant, const std::string&
 }
 
 void StudyService::launch_locked(std::uint64_t id) {
-  workers_.emplace_back(&StudyService::run_study, this, id);
+  workers_.emplace(id, std::thread(&StudyService::run_study, this, id));
+}
+
+std::thread StudyService::retire_locked(std::uint64_t id) {
+  std::thread previous = std::move(exited_);
+  const auto it = workers_.find(id);
+  if (it != workers_.end()) {
+    exited_ = std::move(it->second);
+    workers_.erase(it);
+  }
+  return previous;
 }
 
 void StudyService::drain_locked() {
@@ -321,7 +343,11 @@ void StudyService::run_study(std::uint64_t id) {
     }
   }
 
+  // Declared before the lock, so the previously exited worker is joined
+  // only after this worker's last critical section has released mutex_.
+  JoinOnExit previous;
   std::lock_guard<std::mutex> lock(mutex_);
+  previous.thread = retire_locked(id);
   const auto it = subs_.find(id);
   if (it == subs_.end()) return;
   Submission& sub = it->second;
@@ -455,14 +481,16 @@ void StudyService::wait_idle() {
 }
 
 void StudyService::stop() {
-  std::vector<std::thread> workers;
+  std::map<std::uint64_t, std::thread> workers;
+  JoinOnExit exited;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     stopping_ = true;
     idle_cv_.wait(lock, [&] { return admission_.running_count() == 0; });
     workers.swap(workers_);
+    exited.thread = std::move(exited_);
   }
-  for (std::thread& t : workers) {
+  for (auto& [id, t] : workers) {
     if (t.joinable()) t.join();
   }
 }
@@ -470,6 +498,11 @@ void StudyService::stop() {
 std::size_t StudyService::running_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return admission_.running_count();
+}
+
+std::size_t StudyService::retained_workers() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return workers_.size() + (exited_.joinable() ? 1 : 0);
 }
 
 std::size_t StudyService::queued_count() const {

@@ -113,6 +113,10 @@ class StudyService {
 
   [[nodiscard]] std::size_t running_count() const;
   [[nodiscard]] std::size_t queued_count() const;
+  /// Worker threads not yet joined: the running studies' workers plus at
+  /// most one exited worker, which the next worker to exit (or stop())
+  /// joins. Bounded by max_running + 1 however many studies were served.
+  [[nodiscard]] std::size_t retained_workers() const;
   /// Unfinished submissions re-admitted by the startup scan.
   [[nodiscard]] std::size_t resumed_count() const noexcept { return resumed_; }
   [[nodiscard]] const ServiceOptions& options() const noexcept { return options_; }
@@ -140,6 +144,11 @@ class StudyService {
   void journal_locked(const Submission& sub) const;   ///< spec.study + meta
   void write_meta_locked(const Submission& sub) const;
   void launch_locked(std::uint64_t id);
+  /// A worker's last locked step: park its own thread handle as the exited
+  /// worker and return the previously parked one, which the caller joins
+  /// after releasing mutex_ (never itself; the joined thread has already
+  /// left its last critical section).
+  [[nodiscard]] std::thread retire_locked(std::uint64_t id);
   void drain_locked();  ///< start every next_runnable() (unless stopping)
   void run_study(std::uint64_t id);
   void resume_scan();
@@ -155,7 +164,8 @@ class StudyService {
   /// never any study artifact.
   std::map<std::uint64_t, double> queued_at_ms_;
   std::uint64_t next_id_ = 1;
-  std::vector<std::thread> workers_;
+  std::map<std::uint64_t, std::thread> workers_;  ///< running, by submission id
+  std::thread exited_;  ///< the last worker to exit, not yet joined
   bool stopping_ = false;
   std::size_t resumed_ = 0;
 };

@@ -284,5 +284,35 @@ TEST(SvcServiceTest, MemoryOnlyServiceServesArtifactsFromCache) {
   EXPECT_FALSE(bytes.empty());
 }
 
+TEST(SvcServiceTest, ExitedWorkersAreJoinedAcrossManyStudies) {
+  // An always-on server must not keep one thread per study ever served:
+  // each exiting worker joins the previous one, so the retained handles stay
+  // bounded by the running workers plus one, not by the study count.
+  ServiceOptions sopts = small_service("");
+  sopts.state_dir.clear();
+  StudyService service(sopts);
+  const std::size_t bound = sopts.admission.max_running + 1;
+  const char* spec =
+      "study tiny\n"
+      "workload cifar10\n"
+      "policy bandit\n"
+      "configs 3\n"
+      "seed 3\n";
+  constexpr std::size_t kRounds = 12;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    // Two at a time, filling max_running = 2.
+    ASSERT_TRUE(service.submit("alice", spec).accepted);
+    ASSERT_TRUE(service.submit("bob", spec).accepted);
+    EXPECT_LE(service.retained_workers(), bound) << "round " << round;
+    service.wait_idle();
+    EXPECT_LE(service.retained_workers(), bound) << "round " << round;
+  }
+  const auto subs = service.list("");
+  ASSERT_EQ(subs.size(), 2 * kRounds);
+  for (const auto& info : subs) EXPECT_EQ(info.state, StudyState::Finished) << info.id;
+  service.stop();
+  EXPECT_EQ(service.retained_workers(), 0u);
+}
+
 }  // namespace
 }  // namespace hyperdrive::svc
