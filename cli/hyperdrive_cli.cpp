@@ -8,7 +8,6 @@
 //   hyperdrive_cli --help
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -26,32 +25,25 @@
 #include "util/cli_options.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
-#include "workload/cifar_model.hpp"
-#include "workload/lunar_model.hpp"
-#include "workload/ptb_lstm_model.hpp"
 
 using namespace hyperdrive;
 
 namespace {
 
 struct CliConfig {
-  std::string workload = "cifar10";
-  std::string policy = "pop";
-  /// Raw --policy-opt KEY=VALUE tokens, validated against the registry.
-  std::vector<std::string> policy_opts;
-  std::string generator = "random";
+  /// The single-study flags (--workload, --policy, --policy-opt, --generator,
+  /// --configs, --seed, --tmax-hours), resolved by core::resolve_study like
+  /// a study file. Its seed is also the multi-study base seed.
+  core::StudySpec study;
   std::string substrate = "replay";
   std::string save_trace;
   std::size_t machines = 4;
-  std::size_t configs = 100;
   std::size_t repeats = 1;
   /// Sweep worker threads; 0 = all hardware cores. Repeats are independent
   /// cells, so they fan out without changing any reported number.
   std::size_t jobs = 0;
   /// When set, write the SweepTable CSV (EXPERIMENTS.md "Sweep CSV schema").
   std::string csv;
-  std::uint64_t seed = 1;
-  double tmax_hours = 48.0;
   bool stop_on_target = true;
   bool barrier = false;
   bool verbose = false;
@@ -93,24 +85,25 @@ cli::Options make_options(CliConfig& config) {
                        "run a hyperparameter-exploration experiment");
   options.section("experiment (defaults in brackets)");
   options.bind("--workload", "NAME", "cifar10|lunarlander|ptb_lstm  [cifar10]",
-               config.workload);
+               config.study.workload);
   // Both the help text and the validation come from the PolicyRegistry, so
   // adding a policy there is all it takes to expose it here.
   options.bind("--policy", "NAME",
                core::PolicyRegistry::instance().name_list('|') + "  [pop]",
-               config.policy);
+               config.study.policy);
   options.add("--policy-opt", "K=V",
               "policy-specific option, e.g. eta=4 (repeatable;\n"
               "valid keys per policy in DESIGN.md \"Scheduler zoo\")",
               [&config](const std::string& kv) {
-                config.policy_opts.push_back(kv);
+                config.study.policy_params.push_back(kv);
                 return true;
               });
   options.bind("--generator", "NAME", "random|grid|adaptive|tpe  [random]",
-               config.generator);
+               config.study.generator);
   options.bind("--substrate", "NAME", "replay|cluster  [replay]", config.substrate);
   options.bind("--machines", "N", "machine slots  [4]", config.machines);
-  options.bind("--configs", "N", "hyperparameter configurations  [100]", config.configs);
+  options.bind("--configs", "N", "hyperparameter configurations  [100]",
+               config.study.configs);
   options.bind("--repeats", "N", "repeats (fresh training noise each)  [1]",
                config.repeats);
   options.bind("--jobs", "N",
@@ -118,8 +111,14 @@ cli::Options make_options(CliConfig& config) {
                "are identical for any N  [0]",
                config.jobs);
   options.bind("--csv", "FILE", "write the per-repeat sweep table as CSV", config.csv);
-  options.bind("--seed", "S", "base seed  [1]", config.seed);
-  options.bind("--tmax-hours", "H", "experiment time limit  [48]", config.tmax_hours);
+  options.bind("--seed", "S", "base seed  [1]", config.study.seed);
+  options.add("--tmax-hours", "H", "experiment time limit  [48]",
+              [&config](const std::string& text) {
+                double hours = 0.0;
+                if (!cli::Options::parse_double(text, hours)) return false;
+                config.study.tmax = util::SimTime::hours(hours);
+                return true;
+              });
   options.add_flag("--run-all", "don't stop at the target",
                    [&config]() { config.stop_on_target = false; });
   options.add_flag("--barrier", "barrier-like breadth-first epoch scheduling",
@@ -248,58 +247,9 @@ cli::Options make_options(CliConfig& config) {
   return options;
 }
 
-std::shared_ptr<workload::WorkloadModel> make_workload(const std::string& name) {
-  if (name == "cifar10") return std::make_shared<workload::CifarWorkloadModel>();
-  if (name == "lunarlander") return std::make_shared<workload::LunarWorkloadModel>();
-  if (name == "ptb_lstm") return std::make_shared<workload::PtbLstmWorkloadModel>();
-  std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
-  std::exit(2);
-}
-
-std::unique_ptr<core::HyperparameterGenerator> make_generator(
-    const std::string& name, const workload::HyperparameterSpace& space,
-    std::uint64_t seed) {
-  if (name == "random") return core::make_random_generator(space, seed);
-  if (name == "grid") return core::make_grid_generator(space, 3);
-  if (name == "adaptive") return core::make_adaptive_generator(space, seed);
-  if (name == "tpe") return core::make_tpe_generator(space, seed);
-  std::fprintf(stderr, "unknown generator: %s\n", name.c_str());
-  std::exit(2);
-}
-
-/// Registry-backed policy construction (DESIGN.md §13): --policy selects the
-/// factory, --policy-opt key=value feeds its typed parameter bag, and
-/// --barrier wraps whatever came out — so barrier composes with every
-/// registered policy, not a hand-maintained subset.
-std::unique_ptr<core::SchedulingPolicy> make_cli_policy(const CliConfig& config,
-                                                        std::uint64_t repeat) {
-  core::PolicyContext ctx;
-  ctx.seed = config.seed ^ repeat;
-  ctx.tmax = util::SimTime::hours(config.tmax_hours);
-  auto policy = core::make_registry_policy(
-      config.policy, core::PolicyParams::parse(config.policy_opts), ctx);
-  if (config.barrier) {
-    return std::make_unique<core::BarrierPolicy>(std::move(policy));
-  }
-  return policy;
-}
-
-/// Fail fast (before any sweep thread spins up) on an unknown policy name or
-/// a malformed/unaccepted --policy-opt. The throwaway instance exercises the
-/// same factory the sweep cells will use.
-bool validate_cli_policy(const CliConfig& config) {
-  try {
-    (void)make_cli_policy(config, 0);
-    return true;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return false;
-  }
-}
-
 /// Multi-study mode: every --study file becomes a tenant of one shared
-/// cluster; the remaining single-experiment flags are ignored (each spec
-/// names its own workload/policy/generator/seed).
+/// cluster. Each spec names its own workload/policy/generator/seed, so of
+/// the single-study flags only --seed is read: it seeds the manager.
 int run_studies(const CliConfig& config) {
   std::vector<core::StudySpec> specs;
   for (const auto& path : config.studies) {
@@ -320,7 +270,7 @@ int run_studies(const CliConfig& config) {
   manager_options.machines = config.machines;
   manager_options.catalog = config.catalog;
   manager_options.budget_usd = config.budget_usd;
-  manager_options.seed = config.seed;
+  manager_options.seed = config.study.seed;
   manager_options.health.enabled = config.health;
   manager_options.fault_plan = config.fault_plan;
   try {
@@ -345,27 +295,22 @@ int run_studies(const CliConfig& config) {
   std::printf("multi-study: %zu studies, machines=%zu, arbitration=%s\n", specs.size(),
               config.machine_total(),
               std::string(core::to_string(manager_options.arbitration)).c_str());
-  core::MultiStudyResult result;
-  core::CoordinatorRecoveryStats recovery;
+  // Without checkpoint flags the recovery runtime writes nothing and only
+  // steps in when a coordinator-crash fault fires: it replays from t=0.
+  core::CheckpointOptions ckpt;
+  ckpt.dir = config.resume_from.empty() ? config.checkpoint_out : config.resume_from;
+  ckpt.every = util::SimTime::seconds(config.checkpoint_every_s);
+  ckpt.resume = !config.resume_from.empty();
+  ckpt.kill_after_checkpoints = config.kill_after_checkpoints;
+  core::RecoverableRunResult run;
   try {
-    if (config.any_checkpointing()) {
-      // Recoverable path: checkpoints, crash events, resume. The legacy path
-      // below stays byte-untouched when no checkpoint flag is given.
-      core::CheckpointOptions ckpt;
-      ckpt.dir = config.resume_from.empty() ? config.checkpoint_out : config.resume_from;
-      ckpt.every = util::SimTime::seconds(config.checkpoint_every_s);
-      ckpt.resume = !config.resume_from.empty();
-      ckpt.kill_after_checkpoints = config.kill_after_checkpoints;
-      auto run = core::run_recoverable_multi_study(specs, manager_options, ckpt);
-      result = std::move(run.result);
-      recovery = run.recovery;
-    } else {
-      result = core::run_multi_study(specs, manager_options);
-    }
+    run = core::run_recoverable_multi_study(specs, manager_options, ckpt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "multi-study run failed: %s\n", e.what());
     return 2;
   }
+  const core::MultiStudyResult& result = run.result;
+  const core::CoordinatorRecoveryStats& recovery = run.recovery;
 
   for (const auto& study : result.studies) {
     const auto& r = study.result;
@@ -384,7 +329,7 @@ int run_studies(const CliConfig& config) {
   std::printf("total %s, rebalances=%zu, spend=$%.2f\n",
               util::format_duration(result.total_time).c_str(), result.rebalances,
               result.spend_usd);
-  if (config.any_checkpointing()) {
+  if (config.any_checkpointing() || recovery.coordinator_crashes != 0) {
     std::printf("recovery: checkpoints=%llu (%llu bytes) crashes=%llu loads=%llu "
                 "fallbacks=%llu cold-restarts=%llu verified-replays=%llu\n",
                 static_cast<unsigned long long>(recovery.checkpoints_written),
@@ -443,13 +388,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--catalog requires --substrate cluster\n");
     return 2;
   }
-  if (!validate_cli_policy(config)) return 2;
-
-  const auto model = make_workload(config.workload);
-  const auto generator =
-      make_generator(config.generator, model->space(), config.seed);
-  const auto base = core::trace_from_generator(*model, *generator, config.configs,
-                                               config.seed, /*report_feedback=*/true);
+  core::ResolvedStudy study;
+  try {
+    study = core::resolve_study(config.study);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  const workload::Trace& base = study.trace;
   if (!config.save_trace.empty()) {
     std::ofstream out(config.save_trace);
     base.save_csv(out);
@@ -458,9 +404,9 @@ int main(int argc, char** argv) {
 
   std::printf("workload=%s policy=%s generator=%s machines=%zu configs=%zu "
               "substrate=%s repeats=%zu\n",
-              config.workload.c_str(), config.policy.c_str(), config.generator.c_str(),
-              config.machine_total(), config.configs, config.substrate.c_str(),
-              config.repeats);
+              config.study.workload.c_str(), config.study.policy.c_str(),
+              config.study.generator.c_str(), config.machine_total(), config.study.configs,
+              config.substrate.c_str(), config.repeats);
   if (!base.target_reachable()) {
     std::printf("note: no configuration in this set reaches the target %.3f\n",
                 base.target_performance);
@@ -474,21 +420,26 @@ int main(int argc, char** argv) {
   // Every repeat is an independent sweep cell (fresh noise, fresh policy),
   // executed by the SweepEngine — in parallel under --jobs, with results
   // identical to the serial run (DESIGN.md §8).
+  const std::uint64_t seed = config.study.seed;
   core::SweepSpec spec;
   spec.name = "hyperdrive_cli";
-  spec.base_seed = config.seed;
+  spec.base_seed = seed;
   spec.capture_events = !config.trace_out.empty();
   const auto repeat_ax = spec.add_repeat_axis(config.repeats);
   spec.trace = [&](const core::SweepCell& cell) {
     const std::uint64_t r = cell.at(repeat_ax);
     workload::Trace trace = base;
     if (r > 0) {
-      for (auto& job : trace.jobs) job.curve = model->realize(job.config, config.seed ^ r);
+      for (auto& job : trace.jobs) job.curve = study.model->realize(job.config, seed ^ r);
     }
     return trace;
   };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return make_cli_policy(config, cell.at(repeat_ax));
+  // --barrier wraps whatever the registry built, so it composes with every
+  // registered policy (DESIGN.md §13).
+  spec.policy = [&](const core::SweepCell& cell) -> std::unique_ptr<core::SchedulingPolicy> {
+    auto policy = study.make_policy(seed ^ cell.at(repeat_ax));
+    if (config.barrier) return std::make_unique<core::BarrierPolicy>(std::move(policy));
+    return policy;
   };
   spec.options = [&](const core::SweepCell& cell) {
     core::RunnerOptions ropts;
@@ -496,19 +447,17 @@ int main(int argc, char** argv) {
                                                     : core::Substrate::TraceReplay;
     ropts.machines = config.machines;
     ropts.catalog = config.catalog;
-    ropts.max_experiment_time = util::SimTime::hours(config.tmax_hours);
+    ropts.max_experiment_time = config.study.tmax;
     ropts.stop_on_target = config.stop_on_target;
-    ropts.seed = config.seed ^ cell.at(repeat_ax);
-    ropts.overheads = config.workload == "lunarlander"
-                          ? cluster::lunar_criu_overhead_model()
-                          : cluster::cifar_overhead_model();
+    ropts.seed = seed ^ cell.at(repeat_ax);
+    ropts.overheads = study.overheads;
     ropts.fault_plan = config.fault_plan;
     ropts.health.enabled = config.health;
     if (!config.metrics_out.empty()) ropts.obs.metrics = &registry;
-    // Weight-migration hook (inert unless the policy calls clone_job; only
-    // PBT does). Seeded by the clone stream, not the cell, so it stays
-    // byte-invisible to every non-cloning policy.
-    ropts.explore = core::make_model_explore(model);
+    // Inert unless the policy calls clone_job (only PBT does). Seeded by the
+    // clone stream, not the cell, so it stays byte-invisible to every
+    // non-cloning policy.
+    ropts.explore = study.explore;
     return ropts;
   };
 

@@ -62,8 +62,4 @@ const std::vector<ModelSnapshot>& AppStatDb::snapshots(core::JobId job) const {
   return it == snapshots_.end() ? kEmptySnapshots : it->second;
 }
 
-void AppStatDb::record_suspend_sample(core::SuspendSample sample) {
-  suspend_samples_.push_back(sample);
-}
-
 }  // namespace hyperdrive::cluster

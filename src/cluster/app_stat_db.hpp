@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cluster/resource_manager.hpp"
-#include "core/experiment_result.hpp"
 #include "core/sap.hpp"
 #include "util/sim_time.hpp"
 
@@ -67,19 +66,12 @@ class AppStatDb {
   /// newest-to-oldest when the latest image fails to decode.
   [[nodiscard]] const std::vector<ModelSnapshot>& snapshots(core::JobId job) const;
 
-  /// Suspend overhead accounting (§6.2.3 study).
-  void record_suspend_sample(core::SuspendSample sample);
-  [[nodiscard]] const std::vector<core::SuspendSample>& suspend_samples() const noexcept {
-    return suspend_samples_;
-  }
-
  private:
   std::map<core::JobId, std::vector<AppStat>> stats_;
   std::map<core::JobId, std::vector<double>> perf_;
   /// Per-job epoch -> perf, the dedup/reorder buffer behind perf_.
   std::map<core::JobId, std::map<std::size_t, double>> by_epoch_;
   std::map<core::JobId, std::vector<ModelSnapshot>> snapshots_;
-  std::vector<core::SuspendSample> suspend_samples_;
   static const std::vector<AppStat> kEmptyStats;
   static const std::vector<double> kEmptyPerf;
   static const std::vector<ModelSnapshot> kEmptySnapshots;

@@ -152,12 +152,11 @@ bool HyperDriveCluster::start_job(core::JobId id) {
                .with_job(static_cast<std::int64_t>(id))
                .with_machine(static_cast<std::int64_t>(*machine)));
   } else {
-    // Resume: ship the snapshot to the new host, restore (decode) the model
-    // state, and hand over the learning-curve history (§5.2). A snapshot
-    // that fails to decode (bit-flipped in storage) is skipped in favour of
-    // the next older one; with no usable snapshot at all the model state is
-    // lost — training restarts from epoch 0 and only the curve history
-    // survives, replayed from the AppStatDb records.
+    // Resume: ship the snapshot to the new host and restore (decode) the
+    // model state. A snapshot that fails to decode (bit-flipped in storage)
+    // is skipped in favour of the next older one; with no usable snapshot at
+    // all the model state is lost — training restarts from epoch 0 and only
+    // the curve history survives, in the AppStatDb records.
     SuspendOverheadSample snapshot_info;
     const auto& snaps = db_.snapshots(id);
     if (!snaps.empty()) snapshot_info.snapshot_bytes = snaps.back().size_bytes;
@@ -174,7 +173,6 @@ bool HyperDriveCluster::start_job(core::JobId id) {
         result_.recovery.epochs_lost += job.epochs_done - it->epoch;
         job.epochs_done = it->epoch;
       }
-      agent.install_history(id, state->history);
       restored = true;
       break;
     }
@@ -183,14 +181,11 @@ bool HyperDriveCluster::start_job(core::JobId id) {
       record(obs::TraceEvent(obs::EventKind::SnapshotRestoreFailed)
                  .with_job(static_cast<std::int64_t>(id)));
     }
-    if (!restored) {
-      if (!snaps.empty()) {
-        // Every stored image was unusable: restart from scratch.
-        result_.recovery.epochs_lost += job.epochs_done;
-        job.epochs_done = 0;
-        ++job.incarnation;
-      }
-      agent.install_history(id, db_.perf_history(id));
+    if (!restored && !snaps.empty()) {
+      // Every stored image was unusable: restart from scratch.
+      result_.recovery.epochs_lost += job.epochs_done;
+      job.epochs_done = 0;
+      ++job.incarnation;
     }
     startup_cost = options_.overheads.resume_cost(snapshot_info, rng_);
     record(obs::TraceEvent(obs::EventKind::JobResume)
@@ -275,8 +270,8 @@ bool HyperDriveCluster::clone_job(core::JobId id, core::JobId donor, std::uint64
 
   // The target adopts the donor's stats up to the clone epoch and gets
   // exactly one durable snapshot there, so the ordinary start_job resume path
-  // restores it like any suspended job: ship the image, decode, install the
-  // history on the new host's agent, charge the resume-transfer cost.
+  // restores it like any suspended job: ship the image, decode, charge the
+  // resume-transfer cost.
   if (job.status == core::JobStatus::Pending) ++result_.jobs_started;
   db_.adopt_history(id, donor, epoch);
   double size_bytes;
@@ -397,7 +392,6 @@ void HyperDriveCluster::complete_epoch(core::JobId id) {
 
   const double perf = job.spec->curve.perf.at(job.epochs_done);
   ++job.epochs_done;
-  agent.append_history(id, perf);
   record(obs::TraceEvent(obs::EventKind::EpochComplete)
              .with_job(static_cast<std::int64_t>(id))
              .with_epoch(static_cast<std::int64_t>(job.epochs_done)));
@@ -591,7 +585,6 @@ void HyperDriveCluster::do_suspend(core::JobId id) {
   sample.job_id = id;
   sample.latency = overhead.latency;
   sample.snapshot_bytes = overhead.snapshot_bytes;
-  db_.record_suspend_sample(sample);
   result_.suspend_samples.push_back(sample);
   ++result_.suspends;
   ++job.times_suspended;
@@ -757,9 +750,6 @@ void HyperDriveCluster::crash_node(const NodeCrashEvent& crash) {
     }
   }
   rm_.set_offline(m);
-  // The node's local §5.2 curve caches die with it; resumes re-install them
-  // from snapshots or AppStatDb replay.
-  agents_[m].clear_histories();
   // A dead node is the fail-stop machinery's problem: exclude it from
   // heartbeat scrutiny so the watchdog doesn't also quarantine the corpse.
   health_.set_excluded(m, true, simulation_.now());
@@ -874,9 +864,8 @@ void HyperDriveCluster::spot_preempt(const SpotPreemptionEvent& preemption) {
 
 void HyperDriveCluster::spot_offline(MachineId m) {
   draining_.erase(m);
-  // The node's local curve caches die with it; it never returns (no restart
-  // event), so it parks permanently sick — ungrantable by the arbiter.
-  agents_[m].clear_histories();
+  // The node never returns (no restart event), so it parks permanently
+  // sick — ungrantable by the arbiter.
   health_.set_excluded(m, true, simulation_.now());
   parked_sick_.insert(m);
   if (rm_.is_parked(m)) {
@@ -1662,7 +1651,7 @@ void HyperDriveCluster::encode_state(util::ByteWriter& w) const {
       time(snap.stored_at);
     }
   }
-  w.u32(static_cast<std::uint32_t>(db_.suspend_samples().size()));
+  w.u32(static_cast<std::uint32_t>(result_.suspend_samples.size()));
 
   // Node agents (execution accounting + heartbeat sequencing).
   for (const NodeAgent& agent : agents_) {

@@ -24,8 +24,8 @@
 //     slot math (S_deserved = S * p) tracks live capacity, with an
 //     on_capacity_change upcall so policies can invalidate cached sets;
 //   * falling back, when a snapshot fails to decode on resume, to the next
-//     older snapshot and ultimately to a from-scratch restart with the curve
-//     history replayed from AppStatDb records;
+//     older snapshot and ultimately to a from-scratch restart that keeps the
+//     curve history in the AppStatDb records;
 //   * deduplicating stat reports by (job, epoch) in the AppStatDb so
 //     retransmissions, injected duplicates, and re-trained epochs never
 //     double-count.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -150,6 +151,11 @@ constexpr MessageType kDataTypes[] = {
     MessageType::Ack,
 };
 
+MachineId machine_id(util::SpecParser& parser) {
+  return static_cast<MachineId>(
+      parser.integer("machine", std::numeric_limits<MachineId>::max()));
+}
+
 MessageType parse_message_type(const std::string& token, const util::SpecParser& parser) {
   for (MessageType type : kDataTypes) {
     if (token == to_string(type)) return type;
@@ -174,7 +180,7 @@ FaultPlan load_fault_plan(std::istream& in) {
   while (parser.next_line()) {
     const std::string& directive = parser.directive();
     if (directive == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parser.number("seed"));
+      plan.seed = parser.integer("seed");
     } else if (directive == "drop" || directive == "dup" || directive == "delay") {
       const std::string type_token = parser.word("message type");
       MessageFaultProfile* profile =
@@ -191,7 +197,7 @@ FaultPlan load_fault_plan(std::istream& in) {
       }
     } else if (directive == "crash") {
       NodeCrashEvent crash;
-      crash.machine = static_cast<MachineId>(parser.number("machine"));
+      crash.machine = machine_id(parser);
       crash.at = util::SimTime::seconds(parser.number("crash time"));
       if (const auto restart = parser.optional_number("restart delay")) {
         crash.restart_after = util::SimTime::seconds(*restart);
@@ -199,7 +205,7 @@ FaultPlan load_fault_plan(std::istream& in) {
       plan.crashes.push_back(crash);
     } else if (directive == "slowdown") {
       NodeSlowdownEvent slow;
-      slow.machine = static_cast<MachineId>(parser.number("machine"));
+      slow.machine = machine_id(parser);
       slow.from = util::SimTime::seconds(parser.number("window start"));
       slow.until = util::SimTime::seconds(parser.number("window end"));
       slow.factor = parser.number("factor");
@@ -210,7 +216,7 @@ FaultPlan load_fault_plan(std::istream& in) {
       plan.slowdowns.push_back(slow);
     } else if (directive == "hang") {
       HungJobEvent hang;
-      hang.machine = static_cast<MachineId>(parser.number("machine"));
+      hang.machine = machine_id(parser);
       hang.at = util::SimTime::seconds(parser.number("hang time"));
       if (const auto clear = parser.optional_number("clear delay")) {
         hang.clear_after = util::SimTime::seconds(*clear);
@@ -218,7 +224,7 @@ FaultPlan load_fault_plan(std::istream& in) {
       plan.hangs.push_back(hang);
     } else if (directive == "spot-preemption") {
       SpotPreemptionEvent preemption;
-      preemption.machine = static_cast<MachineId>(parser.number("machine"));
+      preemption.machine = machine_id(parser);
       preemption.at = util::SimTime::seconds(parser.number("warning time"));
       if (const auto warning = parser.optional_number("warning window")) {
         preemption.warning = util::SimTime::seconds(*warning);

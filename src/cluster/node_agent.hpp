@@ -1,21 +1,17 @@
-// Node Agent (§4.2 ➅): the per-machine daemon that executes training jobs,
-// forwards application statistics to the scheduler, and — per the §5.2
-// "Distributed Curve Prediction" optimization — keeps the learning-curve
-// history of the jobs it hosts locally so curve predictions run on the
-// worker rather than the central scheduler.
+// Node Agent (§4.2 ➅): the per-machine daemon that executes training jobs
+// and forwards application statistics to the scheduler.
 //
 // In this simulated deployment the agent's job-execution mechanics live in
-// HyperDriveCluster (which owns the event queue); the NodeAgent itself
-// carries the per-machine accounting and the local curve-history cache,
-// including the history handoff that happens when a suspended job resumes on
-// a different machine.
+// HyperDriveCluster (which owns the event queue), and learning-curve
+// histories live in the AppStatDb, where the predictor reads them. The
+// NodeAgent itself carries only the per-machine accounting and heartbeat
+// sequencing.
 #pragma once
 
-#include <map>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "cluster/resource_manager.hpp"
-#include "core/sap.hpp"
 #include "util/sim_time.hpp"
 
 namespace hyperdrive::cluster {
@@ -39,30 +35,12 @@ class NodeAgent {
   [[nodiscard]] std::uint64_t next_heartbeat_seq() noexcept { return ++heartbeats_sent_; }
   [[nodiscard]] std::uint64_t heartbeats_sent() const noexcept { return heartbeats_sent_; }
 
-  // --- local curve-history cache (§5.2) ------------------------------------
-  /// Record one observed performance value for a hosted job.
-  void append_history(core::JobId job, double perf);
-  /// Install a full history (sent over when a job resumes on this machine).
-  void install_history(core::JobId job, std::vector<double> history);
-  /// Drop and return the history (handed to the next host on migration).
-  /// Throws std::out_of_range if this agent does not host the job — a silent
-  /// empty return here would hand an empty curve history to the new host and
-  /// quietly wreck its predictions; callers must check hosts_history() first.
-  [[nodiscard]] std::vector<double> take_history(core::JobId job);
-  /// Throws std::out_of_range for a job this agent does not host.
-  [[nodiscard]] const std::vector<double>& history(core::JobId job) const;
-  [[nodiscard]] bool hosts_history(core::JobId job) const noexcept;
-  /// Drop every cached history (the node crashed; its local §5.2 state is
-  /// gone and must be re-installed from a snapshot or AppStatDb replay).
-  void clear_histories() noexcept { histories_.clear(); }
-
  private:
   MachineId id_;
   util::SimTime busy_time_ = util::SimTime::zero();
   std::size_t epochs_run_ = 0;
   std::size_t predictions_run_ = 0;
   std::uint64_t heartbeats_sent_ = 0;
-  std::map<core::JobId, std::vector<double>> histories_;
 };
 
 }  // namespace hyperdrive::cluster

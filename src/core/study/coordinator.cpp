@@ -150,9 +150,10 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
     // The inputs record written into every frame this incarnation produces.
     const CoordinatorCheckpoint inputs = make_checkpoint_inputs(run_specs, base);
 
+    // Buffered only for a caller's sink, which receives it on success.
     obs::RecordingSink attempt_sink;
     StudyManagerOptions opt = base;
-    opt.obs.sink = &attempt_sink;  // forwarded to the caller's sink on success
+    opt.obs.sink = options.obs.sink != nullptr ? &attempt_sink : nullptr;
     opt.coordinator_crashes_to_skip = taken;
     opt.crash_floor = target ? target->tick : util::SimTime::zero();
     bool diverged = false;
@@ -264,12 +265,18 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
             options.obs.sink->on_event(event);
           }
         }
+        // Zero counters stay unpublished, so a run that never checkpoints or
+        // crashes leaves the registry exactly as its caller preregistered it.
         if (metrics != nullptr) {
-          metrics->counter("recovery.checkpoint_loads").add(stats.checkpoint_loads);
-          metrics->counter("recovery.checkpoint_fallbacks").add(stats.checkpoint_fallbacks);
-          metrics->counter("recovery.cold_restarts").add(stats.cold_restarts);
-          metrics->counter("recovery.coordinator_crashes").add(stats.coordinator_crashes);
-          metrics->counter("recovery.replay_verifications").add(stats.replay_verifications);
+          for (const auto& [name, count] : {
+                   std::pair{"recovery.checkpoint_loads", stats.checkpoint_loads},
+                   std::pair{"recovery.checkpoint_fallbacks", stats.checkpoint_fallbacks},
+                   std::pair{"recovery.cold_restarts", stats.cold_restarts},
+                   std::pair{"recovery.coordinator_crashes", stats.coordinator_crashes},
+                   std::pair{"recovery.replay_verifications", stats.replay_verifications},
+               }) {
+            if (count != 0) metrics->counter(name).add(count);
+          }
         }
         return RecoverableRunResult{std::move(result), stats};
       }

@@ -19,6 +19,12 @@
 // event stream, MultiStudyResult, CSV and trace artifacts are byte-identical
 // to an uninterrupted run — the headline invariant the Recovery test suites
 // and the CI crash-resume smoke job hold this file to.
+//
+// It is the only multi-study runner (the CLI's --study mode and every
+// service study). With default CheckpointOptions it writes no frame, buffers
+// events only for a caller's sink and publishes no zero recovery.* counter,
+// so its artifacts are the plain StudyManager's; an in-simulation crash then
+// cold-restarts from t=0.
 #pragma once
 
 #include <cstdint>

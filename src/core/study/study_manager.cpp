@@ -30,39 +30,11 @@ std::string fmt(double x) {
 
 std::string fmt(std::uint64_t x) { return std::to_string(x); }
 
-std::shared_ptr<workload::WorkloadModel> make_study_workload(const std::string& name) {
-  if (name == "cifar10") return std::make_shared<workload::CifarWorkloadModel>();
-  if (name == "lunarlander") return std::make_shared<workload::LunarWorkloadModel>();
-  if (name == "ptb_lstm") return std::make_shared<workload::PtbLstmWorkloadModel>();
-  throw std::invalid_argument("unknown study workload '" + name + "'");
-}
-
-std::unique_ptr<HyperparameterGenerator> make_study_generator(
-    const std::string& name, const workload::HyperparameterSpace& space,
-    std::uint64_t seed) {
-  if (name == "random") return make_random_generator(space, seed);
-  if (name == "grid") return make_grid_generator(space, 3);
-  if (name == "adaptive") return make_adaptive_generator(space, seed);
-  if (name == "tpe") return make_tpe_generator(space, seed);
-  throw std::invalid_argument("unknown study generator '" + name + "'");
-}
-
-std::function<std::unique_ptr<SchedulingPolicy>()> make_study_policy_factory(
-    const StudySpec& spec) {
-  if (!PolicyRegistry::instance().has(spec.policy)) {
-    throw std::invalid_argument("unknown study policy '" + spec.policy + "'");
-  }
-  // Malformed or unaccepted key=value options also fail at admission, not at
-  // start(): parse and construct one throwaway instance now.
-  const auto build = [spec]() -> std::unique_ptr<SchedulingPolicy> {
-    PolicyContext ctx;
-    ctx.seed = spec.seed;
-    ctx.tmax = spec.tmax;
-    return make_registry_policy(spec.policy, PolicyParams::parse(spec.policy_params),
-                                ctx);
-  };
-  (void)build();
-  return build;
+/// The one workload -> overhead-model choice: CRIU-sized snapshots for the
+/// RL workload, framework checkpoints for everything else.
+cluster::OverheadModel overheads_for(const std::string& workload) {
+  return workload == "lunarlander" ? cluster::lunar_criu_overhead_model()
+                                   : cluster::cifar_overhead_model();
 }
 
 void add_recovery(RecoveryStats& a, const RecoveryStats& b) {
@@ -82,6 +54,54 @@ void add_recovery(RecoveryStats& a, const RecoveryStats& b) {
 }
 
 }  // namespace
+
+ResolvedStudy resolve_study(const StudySpec& spec, bool realize_trace) {
+  ResolvedStudy study;
+  if (spec.workload == "cifar10") {
+    study.model = std::make_shared<workload::CifarWorkloadModel>();
+  } else if (spec.workload == "lunarlander") {
+    study.model = std::make_shared<workload::LunarWorkloadModel>();
+  } else if (spec.workload == "ptb_lstm") {
+    study.model = std::make_shared<workload::PtbLstmWorkloadModel>();
+  } else {
+    throw std::invalid_argument("unknown workload '" + spec.workload +
+                                "' (want cifar10|lunarlander|ptb_lstm)");
+  }
+  const workload::HyperparameterSpace& space = study.model->space();
+  // Built only to realize the trace: a grid generator enumerates its whole
+  // grid when built, which a name check must not pay for.
+  std::function<std::unique_ptr<HyperparameterGenerator>()> make_generator;
+  if (spec.generator == "random") {
+    make_generator = [&] { return make_random_generator(space, spec.seed); };
+  } else if (spec.generator == "grid") {
+    make_generator = [&] { return make_grid_generator(space, 3); };
+  } else if (spec.generator == "adaptive") {
+    make_generator = [&] { return make_adaptive_generator(space, spec.seed); };
+  } else if (spec.generator == "tpe") {
+    make_generator = [&] { return make_tpe_generator(space, spec.seed); };
+  } else {
+    throw std::invalid_argument("unknown generator '" + spec.generator +
+                                "' (want random|grid|adaptive|tpe)");
+  }
+  study.overheads = overheads_for(spec.workload);
+  study.explore = make_model_explore(study.model);
+  // The options are parsed per build: PolicyParams marks keys consumed, so
+  // one bag must not be shared by policies built on different threads.
+  study.make_policy = [name = spec.policy, params = spec.policy_params,
+                       tmax = spec.tmax](std::uint64_t seed) {
+    PolicyContext ctx;
+    ctx.seed = seed;
+    ctx.tmax = tmax;
+    return make_registry_policy(name, PolicyParams::parse(params), ctx);
+  };
+  (void)study.make_policy(spec.seed);
+  if (realize_trace) {
+    study.trace = trace_from_generator(*study.model, *make_generator(), spec.configs,
+                                       spec.seed, /*report_feedback=*/true);
+    if (spec.has_target_override()) study.trace.target_performance = spec.target;
+  }
+  return study;
+}
 
 std::string_view to_string(ArbitrationMode mode) noexcept {
   switch (mode) {
@@ -105,9 +125,9 @@ ArbitrationMode arbitration_from_string(const std::string& name) {
 struct StudyManager::Tenant {
   StudySpec spec;
   workload::Trace trace;
-  /// Workload model kept alive for the PBT explore hook (null when the study
-  /// was admitted with an explicit trace — cloning is then unsupported).
-  std::shared_ptr<const workload::WorkloadModel> model;
+  /// PBT explore hook; empty when the study was admitted with an explicit
+  /// trace (cloning is then unsupported).
+  workload::ExploreFn explore;
   std::function<std::unique_ptr<SchedulingPolicy>()> policy_factory;
   std::unique_ptr<SchedulingPolicy> policy;
   std::unique_ptr<cluster::HyperDriveCluster> cluster;
@@ -137,13 +157,10 @@ StudyManager::StudyManager(StudyManagerOptions options)
 StudyManager::~StudyManager() = default;
 
 void StudyManager::add_study(const StudySpec& spec) {
-  const auto model = make_study_workload(spec.workload);
-  auto generator = make_study_generator(spec.generator, model->space(), spec.seed);
-  auto trace = trace_from_generator(*model, *generator, spec.configs, spec.seed,
-                                    /*report_feedback=*/true);
-  if (spec.has_target_override()) trace.target_performance = spec.target;
-  add_study(spec, std::move(trace), make_study_policy_factory(spec));
-  tenants_.back()->model = model;
+  ResolvedStudy study = resolve_study(spec);
+  add_study(spec, std::move(study.trace),
+            [make = std::move(study.make_policy), seed = spec.seed] { return make(seed); });
+  tenants_.back()->explore = std::move(study.explore);
 }
 
 void StudyManager::add_study(
@@ -549,9 +566,7 @@ MultiStudyResult StudyManager::run() {
     co.stop_on_target = true;
     co.seed = t.spec.seed;
     co.epoch_jitter_sigma = options_.epoch_jitter_sigma;
-    co.overheads = t.spec.workload == "lunarlander"
-                       ? cluster::lunar_criu_overhead_model()
-                       : cluster::cifar_overhead_model();
+    co.overheads = overheads_for(t.spec.workload);
     co.health = options_.health;
     // Tenants share the node-level fault plan; coordinator crashes in it are
     // the manager's business (scheduled below) and are ignored by clusters.
@@ -562,9 +577,7 @@ MultiStudyResult StudyManager::run() {
     // One shared sink/registry; each tenant stamps its study label onto the
     // events it emits so the merged stream stays attributable.
     co.obs = options_.obs;
-    // Weight-migration hook (inert unless the study's policy calls
-    // clone_job; only PBT does).
-    if (t.model) co.explore = make_model_explore(t.model);
+    co.explore = t.explore;
     t.cluster = std::make_unique<cluster::HyperDriveCluster>(t.trace, co, *sim_);
     t.cluster->on_slot_released = [this] { pump(); };
     t.cluster->on_finished = [this, i] { on_study_finished(i); };
@@ -790,13 +803,6 @@ void MultiStudyResult::save_csv(std::ostream& out) const {
     fields.push_back(fmt(r.spend_usd));
     writer.write_row(fields);
   }
-}
-
-MultiStudyResult run_multi_study(const std::vector<StudySpec>& specs,
-                                 const StudyManagerOptions& options) {
-  StudyManager manager(options);
-  for (const StudySpec& spec : specs) manager.add_study(spec);
-  return manager.run();
 }
 
 }  // namespace hyperdrive::core

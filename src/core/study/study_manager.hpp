@@ -65,6 +65,29 @@ enum class ArbitrationMode {
 /// std::invalid_argument.
 [[nodiscard]] ArbitrationMode arbitration_from_string(const std::string& name);
 
+/// A StudySpec's names resolved into what runs the study: the one resolver
+/// behind StudyManager::add_study, the CLI's single-study flags and the
+/// service's admission check (DESIGN.md §9).
+struct ResolvedStudy {
+  std::shared_ptr<const workload::WorkloadModel> model;
+  /// Drawn from the spec's generator and realized against `model`, with
+  /// generator feedback and the spec's target override. Empty when resolved
+  /// without realization.
+  workload::Trace trace;
+  cluster::OverheadModel overheads;
+  /// PBT weight-migration hook (inert unless the policy calls clone_job).
+  workload::ExploreFn explore;
+  /// A fresh registry policy per call: the spec's policy name, key=value
+  /// options and tmax, seeded with `seed`.
+  std::function<std::unique_ptr<SchedulingPolicy>(std::uint64_t seed)> make_policy;
+};
+
+/// Resolve `spec`'s workload, generator and policy names. One policy
+/// instance is built, so an unknown policy or an option it does not accept
+/// fails here. Throws std::invalid_argument naming the bad value. With
+/// `realize_trace` false only the names are checked.
+[[nodiscard]] ResolvedStudy resolve_study(const StudySpec& spec, bool realize_trace = true);
+
 /// One captured coordinator state (DESIGN.md §12): everything the recovery
 /// runtime needs to decide whether a resumed replay reconverged. `state` is
 /// the opaque fingerprint written by StudyManager::capture — compared
@@ -168,12 +191,13 @@ class StudyManager {
   StudyManager(const StudyManager&) = delete;
   StudyManager& operator=(const StudyManager&) = delete;
 
-  /// Admit a study, resolving its workload / generator / policy names
-  /// (trace realized here, so admission cost is paid up front). Throws
-  /// std::invalid_argument on unknown names or a duplicate study name.
+  /// Admit a study through resolve_study (trace realized here, so admission
+  /// cost is paid up front). Throws std::invalid_argument on unknown names
+  /// or a duplicate study name.
   void add_study(const StudySpec& spec);
   /// Admit a study with an explicit trace and policy factory (tests, custom
-  /// policies). The factory runs once, inside run().
+  /// policies). The factory runs once, inside run(). The study runs with its
+  /// workload's overhead model and without a PBT explore hook.
   void add_study(StudySpec spec, workload::Trace trace,
                  std::function<std::unique_ptr<SchedulingPolicy>()> policy_factory);
 
@@ -256,9 +280,5 @@ class StudyManager {
   bool checkpoint_armed_ = false;
   ManagerExit exit_ = ManagerExit::Completed;
 };
-
-/// Convenience wrapper: admit `specs` into a fresh manager and run.
-[[nodiscard]] MultiStudyResult run_multi_study(const std::vector<StudySpec>& specs,
-                                               const StudyManagerOptions& options);
 
 }  // namespace hyperdrive::core

@@ -33,11 +33,8 @@ StudySpec load_study_spec(std::istream& in) {
     } else if (directive == "generator") {
       spec.generator = parser.word("generator name");
     } else if (directive == "configs") {
-      const double n = parser.number("config count");
-      if (n < 1.0 || n != static_cast<double>(static_cast<std::size_t>(n))) {
-        parser.fail("config count must be a positive integer");
-      }
-      spec.configs = static_cast<std::size_t>(n);
+      spec.configs = parser.integer("config count");
+      if (spec.configs == 0) parser.fail("config count must be a positive integer");
     } else if (directive == "target") {
       spec.target = parser.number("target");
     } else if (directive == "deadline") {
@@ -48,7 +45,7 @@ StudySpec load_study_spec(std::istream& in) {
         parser.fail("weight must be positive and finite");
       }
     } else if (directive == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parser.number("seed"));
+      spec.seed = parser.integer("seed");
     } else if (directive == "tmax") {
       spec.tmax = util::SimTime::seconds(parser.number("tmax"));
     } else if (directive == "cancel-at") {

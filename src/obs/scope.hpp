@@ -2,7 +2,7 @@
 // of every layer (ClusterOptions, RunnerOptions, StudyManagerOptions,
 // PopConfig, the caching predictor). A default Scope is detached: emit sites
 // cost a single null-pointer test and build nothing, which is the
-// zero-overhead-when-null contract the sweep_scaling overhead budget holds
+// zero-overhead-when-null contract the perf_sweep_cell overhead budget holds
 // the subsystem to (DESIGN.md §10).
 //
 // Scope is a small copyable value, not an owner: the sink and registry must

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/study/coordinator.hpp"
+#include "core/study/study_manager.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
 
@@ -165,6 +166,9 @@ SubmitOutcome StudyService::submit(const std::string& tenant, const std::string&
   try {
     std::istringstream in(spec_text);
     spec = core::load_study_spec(in);
+    // Unknown names fail here, before anything is journaled, not later as
+    // a run failure.
+    (void)core::resolve_study(spec, /*realize_trace=*/false);
   } catch (const std::exception& e) {
     out.reason = std::string("bad-spec: ") + e.what();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -534,6 +538,7 @@ void StudyService::resume_scan() {
       sub.spec_text = read_file(sub_dir(id) + "/spec.study");
       std::istringstream spec_in(sub.spec_text);
       sub.spec = core::load_study_spec(spec_in);
+      (void)core::resolve_study(sub.spec, /*realize_trace=*/false);
       std::istringstream meta(read_file(sub_dir(id) + "/meta"));
       std::string line;
       while (std::getline(meta, line)) {
@@ -550,7 +555,9 @@ void StudyService::resume_scan() {
         else if (key == "total") sub.total_time_s = std::strtod(value.c_str(), nullptr);
       }
     } catch (const std::exception&) {
-      continue;  // half-written journal entry (crash mid-journal): skip it
+      // Half-written journal entry (crash mid-journal) or a spec this build
+      // cannot resolve: skip it.
+      continue;
     }
     next_id_ = std::max(next_id_, id + 1);
 

@@ -85,7 +85,9 @@ class StudyService {
   StudyService& operator=(const StudyService&) = delete;
 
   /// Parse + admit one submission. Never throws on bad input: a spec the
-  /// parser rejects comes back as a rejection with reason "bad-spec: ...".
+  /// parser or core::resolve_study rejects (unknown workload, generator or
+  /// policy, unaccepted policy option) comes back as a memory-only rejection
+  /// with reason "bad-spec: ...".
   [[nodiscard]] SubmitOutcome submit(const std::string& tenant, const std::string& spec_text);
 
   /// Cancel a submission. Queued: removed immediately (quota released).

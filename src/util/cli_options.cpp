@@ -1,6 +1,7 @@
 #include "util/cli_options.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
@@ -120,12 +121,13 @@ void Options::print_help(std::FILE* out) const {
 }
 
 bool Options::parse_uint(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(parsed);
+  // from_chars takes no sign or leading space for an unsigned target and
+  // reports out_of_range past 2^64 - 1.
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  out = value;
   return true;
 }
 

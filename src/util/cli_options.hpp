@@ -78,7 +78,9 @@ class Options {
   /// The generated usage screen (what --help prints to stdout).
   void print_help(std::FILE* out) const;
 
-  /// Strict base-10 unsigned parse (whole token, no sign); false on failure.
+  /// Strict unsigned parse: decimal digits only (no sign, space or
+  /// exponent) that fit in 64 bits; false on failure. SpecParser::integer
+  /// shares it.
   static bool parse_uint(const std::string& text, std::uint64_t& out);
   /// Strict double parse (whole token); false on failure.
   static bool parse_double(const std::string& text, double& out);

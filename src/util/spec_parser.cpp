@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/cli_options.hpp"
+
 namespace hyperdrive::util {
 
 SpecParser::SpecParser(std::istream& in, std::string format_name)
@@ -35,17 +37,8 @@ std::optional<std::string> SpecParser::optional_word() {
 }
 
 double SpecParser::number(const char* what) {
-  std::string token;
-  if (!(tokens_ >> token)) fail(std::string("missing ") + what);
-  if (token == "inf") return std::numeric_limits<double>::infinity();
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    fail(std::string("bad ") + what + " '" + token + "'");
-  }
+  if (const auto value = optional_number(what)) return *value;
+  fail(std::string("missing ") + what);
 }
 
 std::optional<double> SpecParser::optional_number(const char* what) {
@@ -60,6 +53,15 @@ std::optional<double> SpecParser::optional_number(const char* what) {
   } catch (const std::exception&) {
     fail(std::string("bad ") + what + " '" + token + "'");
   }
+}
+
+std::uint64_t SpecParser::integer(const char* what, std::uint64_t max) {
+  const std::string token = word(what);
+  std::uint64_t value = 0;
+  if (!cli::Options::parse_uint(token, value) || value > max) {
+    fail(std::string("bad ") + what + " '" + token + "'");
+  }
+  return value;
 }
 
 void SpecParser::finish_line() {

@@ -7,7 +7,9 @@
 // byte-identical.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -39,6 +41,10 @@ class SpecParser {
   double number(const char* what);
   /// As number(), but std::nullopt when the line has no tokens left.
   std::optional<double> optional_number(const char* what);
+  /// Next token as an unsigned integer (cli::Options::parse_uint, and at
+  /// most `max`); fails with "missing <what>" or "bad <what> '<token>'".
+  std::uint64_t integer(const char* what,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
   /// Reject any leftover token ("trailing token '<tok>'"). Call once all the
   /// directive's operands are consumed.
   void finish_line();

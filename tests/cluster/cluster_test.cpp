@@ -186,21 +186,6 @@ TEST(ClusterTest, DecisionLatencyOverlapsTraining) {
   EXPECT_EQ(result.job_stats[0].final_status, JobStatus::Terminated);
 }
 
-TEST(ClusterTest, ResumeMovesHistoryToNewAgent) {
-  const auto trace = linear_trace(2, 6);
-  SuspendOncePolicy policy;
-  ClusterOptions options = ideal_options(1);
-  options.overheads = cifar_overhead_model();
-  HyperDriveCluster cluster(trace, options);
-  (void)cluster.run(policy);
-  // After the run, the (single) agent holds the resumed jobs' histories.
-  std::size_t with_history = 0;
-  for (core::JobId id = 1; id <= 2; ++id) {
-    if (cluster.node_agents()[0].hosts_history(id)) ++with_history;
-  }
-  EXPECT_EQ(with_history, 2u);
-}
-
 TEST(ClusterTest, MaxExperimentTimeEnforced) {
   const auto trace = linear_trace(10, 100);
   core::DefaultPolicy policy;

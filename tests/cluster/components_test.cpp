@@ -94,13 +94,6 @@ TEST(AppStatDbTest, SnapshotsLatestWins) {
   EXPECT_DOUBLE_EQ(snap->size_bytes, 2000.0);
 }
 
-TEST(AppStatDbTest, SuspendSamplesAccumulate) {
-  AppStatDb db;
-  db.record_suspend_sample({1, SimTime::milliseconds(150), 300e3});
-  db.record_suspend_sample({2, SimTime::milliseconds(200), 400e3});
-  EXPECT_EQ(db.suspend_samples().size(), 2u);
-}
-
 workload::Trace small_trace() {
   workload::CifarWorkloadModel model;
   return workload::generate_trace(model, 5, 77);
@@ -169,34 +162,6 @@ TEST(NodeAgentTest, AccountingAccumulates) {
   EXPECT_EQ(agent.predictions_run(), 1u);
 }
 
-TEST(NodeAgentTest, HistoryHandoffAcrossMachines) {
-  NodeAgent a(0), b(1);
-  a.append_history(7, 0.1);
-  a.append_history(7, 0.2);
-  EXPECT_TRUE(a.hosts_history(7));
-  auto history = a.take_history(7);
-  EXPECT_FALSE(a.hosts_history(7));
-  b.install_history(7, std::move(history));
-  EXPECT_EQ(b.history(7), (std::vector<double>{0.1, 0.2}));
-}
-
-// A silent empty history for an unhosted job would quietly wreck the new
-// host's curve predictions after a migration; the agent must fail loudly.
-TEST(NodeAgentTest, HistoryAccessForUnhostedJobThrows) {
-  NodeAgent a(0);
-  a.append_history(7, 0.1);
-  EXPECT_FALSE(a.hosts_history(99));
-  EXPECT_THROW((void)a.history(99), std::out_of_range);
-  EXPECT_THROW((void)a.take_history(99), std::out_of_range);
-  // A taken-away history is gone: a second take must also fail loudly.
-  (void)a.take_history(7);
-  EXPECT_THROW((void)a.take_history(7), std::out_of_range);
-  // Crash cleanup drops everything the agent hosted.
-  a.install_history(7, {0.1, 0.2});
-  a.clear_histories();
-  EXPECT_FALSE(a.hosts_history(7));
-  EXPECT_THROW((void)a.history(7), std::out_of_range);
-}
 
 TEST(ClampedLognormalTest, RespectsClamp) {
   ClampedLognormal dist{0.0, 2.0, 0.5, 2.0};

@@ -4,6 +4,8 @@
 // as the originals, and malformed input fails with a line number.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -192,6 +194,34 @@ TEST(FaultPlanIoTest, ErrorsCarryLineNumbers) {
   expect_error("hang 0 10 20 30\n", "trailing token");
   expect_error("coordinator-crash\n", "crash time");
   expect_error("coordinator-crash 10 20\n", "trailing token");
+}
+
+TEST(FaultPlanIoTest, IntegerFieldsLoadExactly) {
+  // Seeds and machine ids are read as integers, not through a double, so
+  // a seed past 2^53 survives the trip exactly.
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    FaultPlan plan = full_plan();
+    plan.seed = seed;
+    const std::string text = save(plan);
+    const FaultPlan reloaded = load(text);
+    EXPECT_EQ(reloaded.seed, seed);
+    EXPECT_EQ(save(reloaded), text);
+  }
+  const FaultPlan wide = load("crash 4294967295 10\n");
+  ASSERT_EQ(wide.crashes.size(), 1u);
+  EXPECT_EQ(wide.crashes[0].machine, 4294967295u);
+
+  for (const char* seed : {"-1", "1.5", "inf", "nan", "1e3", "+7", "18446744073709551616"}) {
+    expect_error(std::string("drop * 0.1\nseed ") + seed + "\n",
+                 std::string("line 2: bad seed '") + seed + "'");
+  }
+  expect_error("crash -1 10\n", "bad machine '-1'");
+  expect_error("crash 1.5 10\n", "bad machine '1.5'");
+  expect_error("crash 4294967296 10\n", "bad machine '4294967296'");
+  expect_error("slowdown -2 0 100 2.0\n", "bad machine '-2'");
+  expect_error("hang inf 10\n", "bad machine 'inf'");
+  expect_error("spot-preemption nan 10\n", "bad machine 'nan'");
 }
 
 }  // namespace

@@ -667,5 +667,47 @@ TEST(CoordinatorRecoveryTest, ElasticAutoscaledRunResumesByteIdentically) {
   }
 }
 
+// --- the one multi-study runner: no checkpoint options ----------------------
+
+/// Metric names in export order (the first column of write_csv).
+std::vector<std::string> metric_rows(const obs::MetricsRegistry& registry) {
+  std::ostringstream csv;
+  registry.write_csv(csv);
+  std::istringstream in(csv.str());
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) rows.push_back(line.substr(0, line.find(',')));
+  return rows;
+}
+
+TEST(CoordinatorRecoveryTest, DefaultOptionsPublishOnlyPreregisteredMetrics) {
+  // Without checkpoint options and crashes the recovery runtime publishes
+  // nothing of its own, so --metrics-out keeps the rows its caller
+  // preregistered.
+  obs::MetricsRegistry registry;
+  cluster::preregister_cluster_metrics(registry);
+  const std::vector<std::string> preregistered = metric_rows(registry);
+  StudyManagerOptions options = mix_options(5);
+  options.obs.metrics = &registry;
+  const RecoverableRunResult run =
+      run_recoverable_multi_study(mix_specs(5), options, CheckpointOptions{}, fixture_admit());
+  ASSERT_EQ(run.result.studies.size(), 3u);
+  EXPECT_EQ(metric_rows(registry), preregistered);
+}
+
+TEST(CoordinatorRecoveryTest, CrashWithoutCheckpointsReplaysFromTheStart) {
+  // No frame to resume from: the crashed coordinator cold-restarts, replays
+  // from t=0 past the taken crash and returns the uninterrupted run.
+  const Traced ref = reference_run(9);
+  StudyManagerOptions options = mix_options(9);
+  cluster::CoordinatorCrashEvent crash;
+  crash.at = SimTime::seconds(ref.result.total_time.to_seconds() * 0.5);
+  options.fault_plan.coordinator_crashes.push_back(crash);
+  const Traced run = run_recoverable(mix_specs(9), options, CheckpointOptions{}, fixture_admit());
+  EXPECT_EQ(run.recovery.coordinator_crashes, 1u);
+  EXPECT_EQ(run.recovery.cold_restarts, 1u);
+  EXPECT_EQ(run.recovery.checkpoints_written, 0u);
+  expect_identical(ref, run);
+}
+
 }  // namespace
 }  // namespace hyperdrive::core

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -171,6 +173,34 @@ TEST(StudySpecIoTest, ErrorsCarryLineNumbers) {
   EXPECT_THROW(load("study a\nweight inf\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nseed\n"), std::invalid_argument);
   EXPECT_THROW(load("study a b\n"), std::invalid_argument);  // trailing token
+}
+
+TEST(StudySpecIoTest, IntegerDirectivesLoadExactly) {
+  // The seed is read as an integer, not through a double, so a seed past
+  // 2^53 survives the trip exactly.
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    StudySpec spec = full_spec();
+    spec.seed = seed;
+    const std::string text = save(spec);
+    const StudySpec loaded = load(text);
+    EXPECT_EQ(loaded.seed, seed);
+    EXPECT_EQ(save(loaded), text);
+  }
+  // Decimal digits only, within 64 bits.
+  for (const char* seed : {"-1", "1.5", "inf", "nan", "1e3", "+7", "18446744073709551616"}) {
+    try {
+      (void)load(std::string("study a\nseed ") + seed + "\n");
+      ADD_FAILURE() << "seed '" << seed << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("line 2: bad seed '") + seed + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(load("study a\nconfigs 1e2\n"), std::invalid_argument);
+  EXPECT_THROW(load("study a\nconfigs -4\n"), std::invalid_argument);
+  EXPECT_EQ(load("study a\nconfigs 12\n").configs, 12u);
 }
 
 TEST(StudySpecIoTest, RejectsUnnamedSpec) {

@@ -109,10 +109,30 @@ TEST(SvcServiceTest, SubmitRunFinishAndArtifactsMatchBatchMode) {
 }
 
 TEST(SvcServiceTest, BadSpecIsRejectedWithParserMessage) {
-  StudyService service(small_service(fresh_dir("svc_service_badspec").string()));
-  const SubmitOutcome out = service.submit("alice", "workload cifar10\nnot-a-directive\n");
-  EXPECT_FALSE(out.accepted);
-  EXPECT_EQ(out.reason.rfind("bad-spec: ", 0), 0u) << out.reason;
+  // Parse errors, unknown names, options the policy does not accept and
+  // malformed integers are all rejected before anything is journaled or run.
+  const auto dir = fresh_dir("svc_service_badspec");
+  StudyService service(small_service(dir.string()));
+  const std::string named = "study bad\nconfigs 4\n";
+  for (const std::string& text : {
+           std::string("workload cifar10\nnot-a-directive\n"),
+           named + "workload mnist\n",
+           named + "generator sobol\n",
+           named + "policy popp\n",
+           named + "policy asha not-a-key=1\n",
+           named + "seed -1\n",
+       }) {
+    const SubmitOutcome out = service.submit("alice", text);
+    EXPECT_FALSE(out.accepted) << text;
+    EXPECT_EQ(out.reason.rfind("bad-spec: ", 0), 0u) << out.reason;
+  }
+  EXPECT_NE(service.submit("alice", named + "workload mnist\n").reason.find("'mnist'"),
+            std::string::npos);
+  EXPECT_EQ(service.retained_workers(), 0u);
+  EXPECT_TRUE(service.list("").empty());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ADD_FAILURE() << "journaled: " << entry.path();
+  }
 }
 
 TEST(SvcServiceTest, QueueCancelAndQuotaReasonsEndToEnd) {

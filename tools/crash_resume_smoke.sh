@@ -3,7 +3,9 @@
 # job): SIGKILL hyperdrive_cli mid-run via --kill-after-checkpoints, resume
 # the dead run out-of-process with --resume-from, and byte-compare the
 # resumed run's multi-study CSV and event timeline against an uninterrupted
-# reference at the same checkpoint cadence.
+# reference at the same checkpoint cadence. A last phase crashes the
+# coordinator in-simulation (a fault-plan coordinator-crash) with no
+# checkpoint flag: the run must replay from t=0 and match the crash-free run.
 #
 #   tools/crash_resume_smoke.sh [cli-binary] [work-dir]
 #
@@ -11,8 +13,9 @@
 #   work-dir    scratch directory (default: a fresh mktemp -d, removed on exit)
 #
 # Exit 0 only if: the killed run actually died by SIGKILL (exit 137), left
-# valid checkpoint frames behind, the resume verified its replay, and both
-# artifacts are byte-identical to the reference.
+# valid checkpoint frames behind, the resume verified its replay, both
+# artifacts are byte-identical to the reference, and the uncheckpointed
+# crash run's artifacts are byte-identical to the crash-free run's.
 set -euo pipefail
 
 CLI="${1:-build/cli/hyperdrive_cli}"
@@ -84,5 +87,19 @@ grep -q "verified-replays=1" res.log || {
 echo ">>> comparing artifacts byte-for-byte"
 cmp ref.csv res.csv
 cmp ref-trace.csv res-trace.csv
+
+echo ">>> in-simulation coordinator crash without checkpoint flags"
+echo "coordinator-crash 1800" > coordinator-crash.plan
+PLAIN=(--study alpha.study --study beta.study --machines 6 --seed 5)
+"${CLI}" "${PLAIN[@]}" --csv plain.csv --trace-out plain-trace.csv > plain.log
+"${CLI}" "${PLAIN[@]}" --fault-plan coordinator-crash.plan \
+  --csv crashed.csv --trace-out crashed-trace.csv > crashed.log
+cmp plain.csv crashed.csv
+cmp plain-trace.csv crashed-trace.csv
+grep -q "crashes=1 " crashed.log || {
+  echo "error: the crash run did not report its coordinator crash:" >&2
+  cat crashed.log >&2
+  exit 1
+}
 
 echo ">>> crash-resume smoke passed (CSV and timeline byte-identical)"
