@@ -1,7 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/log.hpp"
 
@@ -31,35 +30,24 @@ constexpr double kStatRpcBytes = 256.0;
 constexpr double kHeartbeatRpcBytes = 64.0;
 }  // namespace
 
-HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOptions options)
-    : HyperDriveCluster(trace, std::move(options), std::make_unique<sim::Simulation>(),
-                        nullptr) {}
-
-HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOptions options,
-                                     sim::Simulation& simulation)
-    : HyperDriveCluster(trace, std::move(options), nullptr, &simulation) {}
-
 ClusterOptions HyperDriveCluster::normalize(ClusterOptions options) {
   if (!options.catalog.empty()) options.machines = options.catalog.total_nodes();
   return options;
 }
 
 HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOptions options,
-                                     std::unique_ptr<sim::Simulation> owned,
-                                     sim::Simulation* external)
+                                     sim::Simulation& simulation)
     : trace_(trace),
       options_(normalize(std::move(options))),
       catalog_(options_.catalog.empty() ? NodeCatalog::uniform(options_.machines)
                                         : options_.catalog),
-      owned_sim_(std::move(owned)),
-      simulation_(external != nullptr ? *external : *owned_sim_),
+      simulation_(simulation),
       rm_(options_.machines),
       jm_(trace),
       rng_(util::derive_seed(options_.seed, 0xC105)),
       injector_(options_.fault_plan, options_.seed),
       health_(options_.machines, options_.health),
       bus_(simulation_, bus_options_from(options_), options_.seed) {
-  tenant_ = external != nullptr;
   lease_target_ = catalog_.full();
   slots_accrued_until_ = simulation_.now();
   if (options_.initial_lease.total() > 0 &&
@@ -83,8 +71,7 @@ HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOption
   }
   if (injector_.active()) bus_.set_fault_injector(&injector_);
   // The last event of a run is often the final stat report's ack settling
-  // inside the bus; re-check quiescence then so a scheduled far-future crash
-  // can be cancelled instead of keeping the clock alive.
+  // inside the bus; quiescence is re-checked then like after any other event.
   bus_.set_drain_handler([this] { maybe_finish(); });
   // The scheduler receives application stats; the AppStatDB storage service
   // receives snapshot uploads (it enqueues the suspended job once stored).
@@ -96,9 +83,8 @@ HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOption
     }
     const auto stat = std::static_pointer_cast<const AppStat>(m.payload);
     if (stat) deliver_stat(*stat);
-    // A tenant's last event is often this delivery (the owned path notices
-    // quiescence when the shared queue drains — a tenant must check itself).
-    if (tenant_) maybe_finish();
+    // A run's last event is often this delivery.
+    maybe_finish();
   });
   storage_endpoint_ = bus_.register_endpoint("appstatdb", [this](const Message& m) {
     const auto snapshot = std::static_pointer_cast<const ModelSnapshot>(m.payload);
@@ -110,7 +96,7 @@ HyperDriveCluster::HyperDriveCluster(const workload::Trace& trace, ClusterOption
     // store an image newer than the job's rolled-back epoch.
     if (job.idle || job.status != core::JobStatus::Suspended ||
         snapshot->epoch != job.epochs_done) {
-      if (tenant_) maybe_finish();
+      maybe_finish();
       return;
     }
     db_.store_snapshot(*snapshot);
@@ -706,14 +692,7 @@ void HyperDriveCluster::rollback_to_durable(ManagedJob& job) {
 
 void HyperDriveCluster::fail_job_on_crash(ManagedJob& job) {
   // The machine did the partial work even though its result is lost.
-  if (job.epoch_in_flight) {
-    disarm_progress_deadline(job);
-    simulation_.cancel(job.pending_epoch);
-    const util::SimTime partial = simulation_.now() - job.epoch_started_at;
-    job.execution_time += partial;
-    agents_[*job.machine].note_busy(partial);
-    job.epoch_in_flight = false;
-  }
+  interrupt_training(job);
   if (job.waiting_decision) {
     const util::SimTime wait = simulation_.now() - job.wait_started_at;
     job.execution_time += wait;
@@ -743,12 +722,7 @@ void HyperDriveCluster::crash_node(const NodeCrashEvent& crash) {
 
   // Fail whatever occupies the machine: a running job, or one whose snapshot
   // capture / upload is still holding it.
-  for (auto& [id, job] : jm_.all()) {
-    if (job.machine && *job.machine == m) {
-      fail_job_on_crash(job);
-      break;  // one job per machine
-    }
-  }
+  if (ManagedJob* job = job_on(m)) fail_job_on_crash(*job);
   rm_.set_offline(m);
   // A dead node is the fail-stop machinery's problem: exclude it from
   // heartbeat scrutiny so the watchdog doesn't also quarantine the corpse.
@@ -762,12 +736,8 @@ void HyperDriveCluster::crash_node(const NodeCrashEvent& crash) {
   policy_->on_capacity_change(*this);
 
   if (crash.restart_after < util::SimTime::infinity()) {
-    auto handle_box = std::make_shared<sim::EventHandle>(0);
-    *handle_box = simulation_.schedule_after(crash.restart_after, [this, m, handle_box] {
-      fault_events_.erase(*handle_box);
-      restart_node(m);
-    });
-    fault_events_.emplace(*handle_box, true);
+    schedule_tracked(fault_events_, simulation_.now() + crash.restart_after,
+                     /*restart=*/true, [this, m] { restart_node(m); });
   }
 
   policy_->on_allocate(*this);
@@ -809,32 +779,24 @@ void HyperDriveCluster::spot_warning(const SpotPreemptionEvent& preemption) {
              .with_machine(static_cast<std::int64_t>(m)));
   draining_.insert(m);
   // The provider reclaims the node at warning + grace, busy or not.
-  auto handle_box = std::make_shared<sim::EventHandle>(0);
-  *handle_box = simulation_.schedule_after(preemption.warning, [this, preemption, handle_box] {
-    fault_events_.erase(*handle_box);
-    spot_preempt(preemption);
-  });
-  fault_events_.emplace(*handle_box, false);
+  schedule_tracked(fault_events_, simulation_.now() + preemption.warning, /*restart=*/false,
+                   [this, preemption] { spot_preempt(preemption); });
 
   if (!rm_.is_busy(m)) {
     // Idle: nothing to drain — hand the node back immediately.
     spot_offline(m);
-  } else {
+  } else if (ManagedJob* job = job_on(m);
+             job != nullptr && !job->suspend_in_flight &&
+             job->status == core::JobStatus::Running) {
     // Drain: cleanly snapshot-migrate the occupant (the PR-2 straggler path —
     // never a kill, so the wrong-kill oracle stays at zero); the machine goes
     // offline the moment its release fires.
-    for (auto& [id, job] : jm_.all()) {
-      if (job.machine && *job.machine == m) {
-        if (job.suspend_in_flight || job.status != core::JobStatus::Running) break;
-        ++result_.recovery.jobs_migrated;
-        record(obs::TraceEvent(obs::EventKind::JobMigrate)
-                   .with_job(static_cast<std::int64_t>(id))
-                   .with_machine(static_cast<std::int64_t>(m))
-                   .with_detail("spot"));
-        do_suspend(id);
-        break;  // one job per machine
-      }
-    }
+    ++result_.recovery.jobs_migrated;
+    record(obs::TraceEvent(obs::EventKind::JobMigrate)
+               .with_job(static_cast<std::int64_t>(job->id))
+               .with_machine(static_cast<std::int64_t>(m))
+               .with_detail("spot"));
+    do_suspend(job->id);
   }
   policy_->on_allocate(*this);
   maybe_finish();
@@ -849,12 +811,7 @@ void HyperDriveCluster::spot_preempt(const SpotPreemptionEvent& preemption) {
   if (draining_.count(m) > 0) {
     // Still draining at the deadline: the provider yanks the node — whatever
     // occupies it fails exactly like a crash (snapshot rollback + requeue).
-    for (auto& [id, job] : jm_.all()) {
-      if (job.machine && *job.machine == m) {
-        fail_job_on_crash(job);
-        break;  // one job per machine
-      }
-    }
+    if (ManagedJob* job = job_on(m)) fail_job_on_crash(*job);
     spot_offline(m);
   }
   // else: the drain completed early — the node already left the membership.
@@ -874,28 +831,39 @@ void HyperDriveCluster::spot_offline(MachineId m) {
     return;
   }
   if (rm_.is_online(m)) rm_.set_offline(m);
-  // Park the corpse so the tenant stops paying for it; a reclaim that was
+  // Park the corpse so the study stops paying for it; a reclaim that was
   // already pending is absorbed, like the crash path.
   const char* reason = pending_reclaim_.erase(m) > 0 ? "reclaim-spot" : "spot";
   surrender_slot(m, reason);
 }
 
+void HyperDriveCluster::schedule_tracked(std::map<sim::EventHandle, bool>& tracked,
+                                         util::SimTime at, bool restart,
+                                         std::function<void()> fire) {
+  auto handle_box = std::make_shared<sim::EventHandle>(0);
+  *handle_box =
+      simulation_.schedule_at(at, [&tracked, handle_box, fire = std::move(fire)] {
+        tracked.erase(*handle_box);
+        fire();
+      });
+  tracked.emplace(*handle_box, restart);
+}
+
+ManagedJob* HyperDriveCluster::job_on(MachineId machine) {
+  for (auto& [id, job] : jm_.all()) {
+    if (job.machine == machine) return &job;  // one job per machine
+  }
+  return nullptr;
+}
+
 void HyperDriveCluster::schedule_crashes() {
   for (const auto& crash : options_.fault_plan.crashes) {
-    auto handle_box = std::make_shared<sim::EventHandle>(0);
-    *handle_box = simulation_.schedule_at(crash.at, [this, crash, handle_box] {
-      fault_events_.erase(*handle_box);
-      crash_node(crash);
-    });
-    fault_events_.emplace(*handle_box, false);
+    schedule_tracked(fault_events_, crash.at, /*restart=*/false,
+                     [this, crash] { crash_node(crash); });
   }
   for (const auto& preemption : options_.fault_plan.spot_preemptions) {
-    auto handle_box = std::make_shared<sim::EventHandle>(0);
-    *handle_box = simulation_.schedule_at(preemption.at, [this, preemption, handle_box] {
-      fault_events_.erase(*handle_box);
-      spot_warning(preemption);
-    });
-    fault_events_.emplace(*handle_box, false);
+    schedule_tracked(fault_events_, preemption.at, /*restart=*/false,
+                     [this, preemption] { spot_warning(preemption); });
   }
 }
 
@@ -903,23 +871,15 @@ void HyperDriveCluster::schedule_crashes() {
 
 void HyperDriveCluster::schedule_health() {
   if (!options_.health.enabled) return;
-  const util::SimTime interval = options_.health.heartbeat_interval;
+  const util::SimTime at = simulation_.now() + options_.health.heartbeat_interval;
   for (std::size_t m = 0; m < agents_.size(); ++m) {
-    auto handle_box = std::make_shared<sim::EventHandle>(0);
-    *handle_box = simulation_.schedule_after(
-        interval, [this, m, handle_box] {
-          heartbeat_tick(static_cast<MachineId>(m), *handle_box);
-        });
-    infra_events_.emplace(*handle_box, false);
+    schedule_tracked(infra_events_, at, /*restart=*/false,
+                     [this, m] { heartbeat_tick(static_cast<MachineId>(m)); });
   }
-  auto handle_box = std::make_shared<sim::EventHandle>(0);
-  *handle_box =
-      simulation_.schedule_after(interval, [this, handle_box] { watchdog_tick(*handle_box); });
-  infra_events_.emplace(*handle_box, false);
+  schedule_tracked(infra_events_, at, /*restart=*/false, [this] { watchdog_tick(); });
 }
 
-void HyperDriveCluster::heartbeat_tick(MachineId m, sim::EventHandle self) {
-  infra_events_.erase(self);
+void HyperDriveCluster::heartbeat_tick(MachineId m) {
   if (done_) return;
   // A crashed node is silent because it is dead (the fail-stop machinery's
   // problem); a hung node is silent because it is wedged (exactly the signal
@@ -939,11 +899,8 @@ void HyperDriveCluster::heartbeat_tick(MachineId m, sim::EventHandle self) {
     probe.payload = std::move(beat);
     bus_.send(std::move(probe));
   }
-  auto handle_box = std::make_shared<sim::EventHandle>(0);
-  *handle_box = simulation_.schedule_after(
-      options_.health.heartbeat_interval,
-      [this, m, handle_box] { heartbeat_tick(m, *handle_box); });
-  infra_events_.emplace(*handle_box, false);
+  schedule_tracked(infra_events_, simulation_.now() + options_.health.heartbeat_interval,
+                   /*restart=*/false, [this, m] { heartbeat_tick(m); });
 }
 
 void HyperDriveCluster::handle_heartbeat(const Heartbeat& beat) {
@@ -957,8 +914,7 @@ void HyperDriveCluster::handle_heartbeat(const Heartbeat& beat) {
   maybe_finish();
 }
 
-void HyperDriveCluster::watchdog_tick(sim::EventHandle self) {
-  infra_events_.erase(self);
+void HyperDriveCluster::watchdog_tick() {
   if (done_) return;
   const auto report = health_.watchdog_scan(simulation_.now());
   for (const MachineId m : report.newly_suspect) {
@@ -974,25 +930,19 @@ void HyperDriveCluster::watchdog_tick(sim::EventHandle self) {
     record(obs::TraceEvent(obs::EventKind::NodeQuarantine)
                .with_machine(static_cast<std::int64_t>(m))
                .with_detail("silent"));
-    for (auto& [id, job] : jm_.all()) {
-      if (job.machine && *job.machine == m) {
-        ++result_.recovery.jobs_migrated;
-        record(obs::TraceEvent(obs::EventKind::JobMigrate)
-                   .with_job(static_cast<std::int64_t>(id))
-                   .with_machine(static_cast<std::int64_t>(m))
-                   .with_detail("silent"));
-        fail_job_on_crash(job);
-        break;  // one job per machine
-      }
+    if (ManagedJob* job = job_on(m)) {
+      ++result_.recovery.jobs_migrated;
+      record(obs::TraceEvent(obs::EventKind::JobMigrate)
+                 .with_job(static_cast<std::int64_t>(job->id))
+                 .with_machine(static_cast<std::int64_t>(m))
+                 .with_detail("silent"));
+      fail_job_on_crash(*job);
     }
     finalize_quarantine(m);
     policy_->on_allocate(*this);
   }
-  auto handle_box = std::make_shared<sim::EventHandle>(0);
-  *handle_box = simulation_.schedule_after(
-      options_.health.heartbeat_interval,
-      [this, handle_box] { watchdog_tick(*handle_box); });
-  infra_events_.emplace(*handle_box, false);
+  schedule_tracked(infra_events_, simulation_.now() + options_.health.heartbeat_interval,
+                   /*restart=*/false, [this] { watchdog_tick(); });
   maybe_finish();
 }
 
@@ -1043,16 +993,11 @@ void HyperDriveCluster::finalize_quarantine(MachineId m) {
   ++result_.recovery.nodes_quarantined;
   record(obs::TraceEvent(obs::EventKind::NodeQuarantine)
              .with_machine(static_cast<std::int64_t>(m)));
-  auto handle_box = std::make_shared<sim::EventHandle>(0);
   // Probation re-admission restores capacity exactly like a crash restart,
   // so it registers as a restart-flavoured fault event: maybe_finish keeps
   // the experiment alive while jobs wait for the node to come back.
-  *handle_box = simulation_.schedule_after(
-      options_.health.probation_after, [this, m, handle_box] {
-        fault_events_.erase(*handle_box);
-        begin_probation_for(m);
-      });
-  fault_events_.emplace(*handle_box, true);
+  schedule_tracked(fault_events_, simulation_.now() + options_.health.probation_after,
+                   /*restart=*/true, [this, m] { begin_probation_for(m); });
   // A lease reclaim pending on this machine absorbs it in place: the slot is
   // returned to the pool sick and stays ungrantable until probation clears it.
   if (pending_reclaim_.erase(m) > 0) {
@@ -1113,71 +1058,31 @@ void HyperDriveCluster::release_and_allocate(core::JobId id) {
 }
 
 void HyperDriveCluster::maybe_finish() {
-  if (tenant_) {
-    tenant_maybe_finish();
-    return;
-  }
-  if (rm_.idle() != rm_.total()) return;
-  const std::size_t pending = simulation_.events_pending();
-  // Health-infrastructure ticks (heartbeats, watchdog) are bookkeeping, not
-  // work: like scheduled fault events they must never keep a finished
-  // experiment's clock alive.
-  if (pending > fault_events_.size() + infra_events_.size()) {
-    return;  // real work still in flight
-  }
-  if (pending > 0) {
-    // Only scheduled fault/infra events remain. A pending node restart — or
-    // a quarantined node's probation re-admission, which restores capacity
-    // the same way — can still revive progress if jobs are waiting; a bare
-    // future crash (or a restart with nothing left to run) cannot affect the
-    // outcome and must not keep the clock running — cancel and finish.
-    const bool restart_pending = std::any_of(fault_events_.begin(), fault_events_.end(),
-                                             [](const auto& e) { return e.second; });
-    if (restart_pending && !jm_.active_jobs().empty()) return;
-    for (const auto& [handle, is_restart] : fault_events_) simulation_.cancel(handle);
-    fault_events_.clear();
-    for (const auto& [handle, unused] : infra_events_) simulation_.cancel(handle);
-    infra_events_.clear();
-  }
-  finish();
-}
-
-void HyperDriveCluster::tenant_maybe_finish() {
   if (done_) return;
-  // The owned-mode check reads the global event queue — meaningless on a
-  // shared simulation. A tenant is quiescent when every held slot is idle,
-  // none of its RPCs (stat reports, snapshot uploads, heartbeats) is still
-  // in flight, and no queued work remains — or no capacity path that could
-  // run the queued work remains.
-  if (rm_.idle() != rm_.total()) return;
-  if (bus_.in_flight() > 0) return;
+  // Quiescent: every held slot is idle and none of this cluster's RPCs (stat
+  // reports, snapshot uploads, heartbeats) is in flight. Nothing else still
+  // queued — a future crash, a health tick, a stale startup or decision —
+  // can move a job by itself.
+  if (rm_.idle() != rm_.total() || bus_.in_flight() > 0) return;
   if (!jm_.active_jobs().empty()) {
+    // Queued work waits only for capacity that can still arrive: a crashed
+    // or quarantined node's restart/probation, or a parked healthy slot the
+    // arbiter can grant. Idle held slots the policy leaves unused, or a
+    // fleet lost for good, end the run here.
     const bool restart_pending = std::any_of(fault_events_.begin(), fault_events_.end(),
                                              [](const auto& e) { return e.second; });
-    if (restart_pending) return;     // crashed/quarantined capacity will return
-    if (rm_.parked() > 0) return;    // the arbiter can still grant more lease
-    if (rm_.total() > 0) return;     // idle capacity exists; a later event may use it
-    // Capacity is gone for good: give up exactly like the owned path.
+    if (restart_pending || rm_.parked() > parked_sick_.size()) return;
   }
-  for (const auto& [handle, is_restart] : fault_events_) simulation_.cancel(handle);
-  fault_events_.clear();
-  for (const auto& [handle, unused] : infra_events_) simulation_.cancel(handle);
-  infra_events_.clear();
   finish();
 }
 
 void HyperDriveCluster::finish() {
   if (done_) return;
   done_ = true;
-  if (!tenant_) {
-    simulation_.stop();
-    return;
-  }
-  // Tenant epilogue: the shared clock keeps running for the other studies,
-  // so everything this study scheduled must be cancelled explicitly, and
-  // every leased slot drains back to the arbiter. Held jobs keep exactly the
-  // accounting they have (the owned path's run_until stop charges neither
-  // partial epochs nor status changes — collect() mirrors that).
+  // The clock belongs to the owner and may keep running (for other studies),
+  // so everything this cluster scheduled is cancelled explicitly and every
+  // held slot drains back. Held jobs keep exactly the accounting they have:
+  // neither partial epochs nor status changes are charged.
   finished_at_ = simulation_.now();
   accrue_slot_time();
   for (const auto& [handle, is_restart] : fault_events_) simulation_.cancel(handle);
@@ -1225,35 +1130,9 @@ void HyperDriveCluster::record(obs::TraceEvent event) {
   options_.obs.emit(event);
 }
 
-core::ExperimentResult HyperDriveCluster::run(core::SchedulingPolicy& policy) {
-  if (tenant_) throw std::logic_error("run() is owned-simulation mode; tenants use start()");
-  policy_ = &policy;
-  result_ = core::ExperimentResult{};
-  result_.policy_name = std::string(policy.name());
-
-  policy.on_experiment_start(*this);
-  policy.on_allocate(*this);
-  if (rm_.idle() == rm_.total() && simulation_.events_pending() == 0) {
-    result_.total_time = util::SimTime::zero();
-    return result_;
-  }
-  schedule_crashes();
-  schedule_health();
-  simulation_.run_until(options_.max_experiment_time);
-
-  finalize_result();
-  policy_ = nullptr;
-  return result_;
-}
-
 void HyperDriveCluster::finalize_result() {
-  if (tenant_) {
-    result_.total_time =
-        done_ ? finished_at_ : std::min(simulation_.now(), options_.max_experiment_time);
-  } else {
-    result_.total_time = done_ ? simulation_.now()
-                               : std::min(simulation_.now(), options_.max_experiment_time);
-  }
+  result_.total_time =
+      done_ ? finished_at_ : std::min(simulation_.now(), options_.max_experiment_time);
   for (const auto& [id, job] : jm_.all()) {
     core::JobRunStats stats;
     stats.job_id = id;
@@ -1381,24 +1260,21 @@ void HyperDriveCluster::publish_metrics() {
   }
 }
 
-// --- tenant protocol (multi-study scheduling, DESIGN.md §9) ------------------
+// --- lifecycle and lease protocol (multi-study scheduling, DESIGN.md §9) -----
 
 void HyperDriveCluster::start(core::SchedulingPolicy& policy) {
-  if (!tenant_) throw std::logic_error("start() is tenant mode; owned clusters use run()");
   policy_ = &policy;
   result_ = core::ExperimentResult{};
   result_.policy_name = std::string(policy.name());
   slots_accrued_until_ = simulation_.now();
 
-  // Same preamble order as run(): the single-study-through-StudyManager path
-  // must replay the owned path event for event.
   policy.on_experiment_start(*this);
   policy.on_allocate(*this);
   schedule_crashes();
   schedule_health();
-  // A tenant cannot truncate via run_until (the clock is shared), so the
-  // study Tmax is an explicit event. Priority 100: same-time job events
-  // complete before the study is declared out of time.
+  // Tmax is an explicit event, not a run_until horizon: the clock may be
+  // shared. Priority 100: same-time job events complete before the study is
+  // declared out of time.
   if (options_.max_experiment_time < util::SimTime::infinity()) {
     timeout_event_ = simulation_.schedule_at(
         options_.max_experiment_time,
@@ -1462,7 +1338,6 @@ void HyperDriveCluster::surrender_slot(MachineId machine, const char* reason) {
 }
 
 void HyperDriveCluster::set_lease_target(const CapacityView& capacity) {
-  if (!tenant_) throw std::logic_error("set_lease_target() requires tenant mode");
   // Always store the full catalog width, clamped to each class block, so
   // lease_target_ comparisons are well-defined.
   for (NodeClassId c = 0; c < catalog_.classes(); ++c) {
@@ -1534,23 +1409,20 @@ void HyperDriveCluster::apply_lease() {
       }
       if (!busy_pick) break;  // everything left is already being reclaimed
       pending_reclaim_.insert(*busy_pick);
-      for (auto& [id, job] : jm_.all()) {
-        if (job.machine && *job.machine == *busy_pick) {
-          if (job.suspend_in_flight || job.status != core::JobStatus::Running) break;
-          ++result_.recovery.jobs_migrated;
-          record(obs::TraceEvent(obs::EventKind::LeaseMigrate)
-                     .with_job(static_cast<std::int64_t>(id))
-                     .with_machine(static_cast<std::int64_t>(*busy_pick)));
-          do_suspend(id);
-          break;  // one job per machine
-        }
+      ManagedJob* job = job_on(*busy_pick);
+      if (job != nullptr && !job->suspend_in_flight &&
+          job->status == core::JobStatus::Running) {
+        ++result_.recovery.jobs_migrated;
+        record(obs::TraceEvent(obs::EventKind::LeaseMigrate)
+                   .with_job(static_cast<std::int64_t>(job->id))
+                   .with_machine(static_cast<std::int64_t>(*busy_pick)));
+        do_suspend(job->id);
       }
     }
   }
 }
 
 bool HyperDriveCluster::grant_one(NodeClassId node_class) {
-  if (!tenant_) throw std::logic_error("grant_one() requires tenant mode");
   if (done_) return false;
   if (node_class >= catalog_.classes()) return false;
   const std::size_t begin = std::min(catalog_.block_begin(node_class), rm_.configured());
@@ -1579,14 +1451,12 @@ bool HyperDriveCluster::grant_one(NodeClassId node_class) {
 }
 
 void HyperDriveCluster::cancel() {
-  if (!tenant_) throw std::logic_error("cancel() requires tenant mode");
   if (done_) return;
   record(obs::TraceEvent(obs::EventKind::StudyCancelled));
   finish();
 }
 
 core::ExperimentResult HyperDriveCluster::collect() {
-  if (!tenant_) throw std::logic_error("collect() requires tenant mode");
   finalize_result();
   return result_;
 }
@@ -1737,9 +1607,9 @@ void HyperDriveCluster::encode_state(util::ByteWriter& w) const {
   w.u64(result_.recovery.hung_jobs_detected);
   w.u64(result_.recovery.wrong_kills);
 
-  // Tenant / lease protocol state.
-  w.u8(static_cast<std::uint8_t>((done_ ? 1 : 0) | (tenant_ ? 2 : 0) |
-                                 (timeout_armed_ ? 4 : 0)));
+  // Lease protocol state. Bit 2 is a retired flag every checkpointed
+  // cluster set; it stays set so HDCK frames keep their bytes.
+  w.u8(static_cast<std::uint8_t>((done_ ? 1 : 0) | 2 | (timeout_armed_ ? 4 : 0)));
   w.u32(static_cast<std::uint32_t>(lease_target_.classes()));
   for (NodeClassId c = 0; c < lease_target_.classes(); ++c) w.u64(lease_target_.of(c));
   w.u32(static_cast<std::uint32_t>(pending_reclaim_.size()));
@@ -1766,8 +1636,12 @@ void HyperDriveCluster::encode_state(util::ByteWriter& w) const {
 core::ExperimentResult run_cluster_experiment(const workload::Trace& trace,
                                               core::SchedulingPolicy& policy,
                                               const ClusterOptions& options) {
-  HyperDriveCluster cluster(trace, options);
-  return cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  cluster.on_finished = [&simulation] { simulation.stop(); };
+  cluster.start(policy);
+  simulation.run();
+  return cluster.collect();
 }
 
 }  // namespace hyperdrive::cluster

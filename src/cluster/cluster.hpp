@@ -32,6 +32,13 @@
 // Every fault decision is drawn from the plan's seeded RNG, so a run is a
 // pure function of (trace, seed, plan) — the golden-trace determinism tests
 // compare the event stream an attached obs sink records, byte-for-byte.
+//
+// Lifecycle: the cluster runs on a sim::Simulation its caller owns. start()
+// fires the policy's first upcalls and schedules the fault, health and Tmax
+// events; the owner drives the clock; the cluster finishes itself at target,
+// quiescence, Tmax or cancel (on_finished fires once) and collect() returns
+// the result. run_cluster_experiment is the owner of a single run; a
+// core::StudyManager owns the clock shared by many studies (DESIGN.md §9).
 #pragma once
 
 #include <functional>
@@ -102,36 +109,30 @@ struct ClusterOptions : sim::ReplayOptions {
   /// perturbing the simulation — the stream the golden-trace tests compare.
   /// An attached registry receives end-of-run counters in finalize_result().
   obs::Scope obs;
-  // --- multi-study tenancy (DESIGN.md §9) ----------------------------------
-  /// Per-class slots online at start when the cluster is a StudyManager
-  /// tenant; the remaining machines start parked (leasable later). Empty =
-  /// all online, the single-tenant behavior.
+  // --- multi-study leases (DESIGN.md §9) -----------------------------------
+  /// Per-class slots online at start; the remaining machines start parked,
+  /// leasable later by a StudyManager's arbiter. Empty = all online.
   CapacityView initial_lease;
   /// Study name stamped onto every emitted event (rendered "study=<name>")
-  /// so a merged multi-tenant stream stays attributable. Empty (default)
-  /// adds nothing — single-study streams stay byte-identical to the
-  /// single-tenant path.
+  /// so a merged multi-study stream stays attributable. Empty (default)
+  /// adds nothing.
   std::string study_label;
 };
 
 class HyperDriveCluster final : public core::SchedulerOps {
  public:
-  HyperDriveCluster(const workload::Trace& trace, ClusterOptions options);
-  /// Tenant mode: run against an externally owned simulation shared with
-  /// other tenant clusters under a core::StudyManager. The caller drives the
-  /// clock; this cluster never stops it.
+  /// Run on `simulation`, which the caller owns and drives; the cluster
+  /// never stops it (an owner that wants to stop at the finish does so from
+  /// on_finished).
   HyperDriveCluster(const workload::Trace& trace, ClusterOptions options,
                     sim::Simulation& simulation);
 
-  /// Run the experiment under `policy`. Single-use. Owned-simulation mode
-  /// only (tenants are started with start() and harvested with collect()).
-  [[nodiscard]] core::ExperimentResult run(core::SchedulingPolicy& policy);
-
-  // --- tenant protocol (multi-study scheduling, DESIGN.md §9) --------------
   /// Begin the experiment without running the clock: fire the policy's
-  /// start/allocate upcalls and schedule fault, health and study-timeout
-  /// events. The shared simulation (run by the StudyManager) does the rest.
+  /// start/allocate upcalls and schedule the fault, health and Tmax
+  /// (study-timeout) events. Single-use.
   void start(core::SchedulingPolicy& policy);
+
+  // --- lease protocol (multi-study scheduling, DESIGN.md §9) ---------------
   /// Set the arbiter-assigned per-class capacity. Shrinking a class reclaims
   /// immediately: idle slots park at once, crashed/quarantined slots are
   /// absorbed, and busy slots are cleanly snapshot-migrated (never killed)
@@ -146,10 +147,9 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Cancel the study: drain leased slots (held jobs keep their accrued
   /// accounting, in-flight epochs are abandoned) and finish immediately.
   void cancel();
-  /// Harvest the result after the shared simulation has run. Tenant
-  /// equivalent of run()'s result-assembly epilogue.
+  /// Assemble the result once the owner has run the clock.
   [[nodiscard]] core::ExperimentResult collect();
-  /// Slots currently charged to this tenant (online or offline-unparked).
+  /// Slots currently charged to this study (online or offline-unparked).
   [[nodiscard]] std::size_t held_slots() const noexcept {
     return rm_.configured() - rm_.parked();
   }
@@ -161,7 +161,7 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// The fleet layout this cluster runs on (the implicit single "standard"
   /// class when ClusterOptions::catalog was empty).
   [[nodiscard]] const NodeCatalog& catalog() const noexcept { return catalog_; }
-  /// Dollars charged to this tenant so far: the integral of held slots ×
+  /// Dollars charged to this study so far: the integral of held slots ×
   /// their class prices over held time (accrued alongside slot-seconds).
   [[nodiscard]] double spend_usd() const noexcept { return spend_usd_; }
   /// spend_usd() brought current to the sim clock. The lazy integral only
@@ -177,7 +177,7 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// the arbiter's free pool).
   std::function<void()> on_slot_released;
   /// Fires once when the study finishes (target, quiescence, timeout,
-  /// cancel).
+  /// cancel), after every slot has drained.
   std::function<void()> on_finished;
 
   /// Post-run access to the framework components (overhead studies, tests).
@@ -232,16 +232,13 @@ class HyperDriveCluster final : public core::SchedulerOps {
   }
   [[nodiscard]] double kill_threshold() const override { return trace_.kill_threshold; }
   /// Best performance reported by any job so far (0 until the first stat
-  /// lands). Tenant arbitration reads this as the study's progress signal.
+  /// lands). Study arbitration reads this as the study's progress signal.
   [[nodiscard]] double best_performance() const noexcept { return result_.best_perf; }
   [[nodiscard]] std::size_t evaluation_boundary() const override {
     return trace_.evaluation_boundary;
   }
 
  private:
-  HyperDriveCluster(const workload::Trace& trace, ClusterOptions options,
-                    std::unique_ptr<sim::Simulation> owned, sim::Simulation* external);
-
   /// A non-empty catalog is authoritative for the machine count; applied in
   /// the options_ member initializer so rm_/health_/agents_ (which size off
   /// options_.machines in the init list) see the corrected value.
@@ -256,15 +253,21 @@ class HyperDriveCluster final : public core::SchedulerOps {
   void do_terminate(core::JobId job);
   void finish_suspend(core::JobId job, SuspendOverheadSample overhead);
   void release_and_allocate(core::JobId job);
+  /// The quiescence rule, checked after every event the cluster handles:
+  /// finish once every held slot is idle, no RPC is in flight, and no active
+  /// job can run again (no restart or probation pending, no grantable
+  /// parked slot).
   void maybe_finish();
+  /// Cancel everything this cluster scheduled, drain every slot back, fire
+  /// on_finished.
   void finish();
-  /// Result-assembly epilogue shared by run() and collect().
+  /// collect()'s result assembly.
   void finalize_result();
   /// Publish the run's counters and the suspend-latency histogram into the
   /// attached registry (finalize_result() tail, obs.metrics != nullptr only).
   void publish_metrics();
 
-  // --- lease protocol internals (tenant mode) ------------------------------
+  // --- lease protocol internals -------------------------------------------
   /// Reclaim slots until held - pending reclaims <= lease_target_.
   void apply_lease();
   /// Park `machine` and hand it back to the arbiter (capacity upcalls +
@@ -274,11 +277,16 @@ class HyperDriveCluster final : public core::SchedulerOps {
   void accrue_slot_time();
   /// Sum of class prices over currently held slots ($/hour).
   [[nodiscard]] double held_price_rate() const;
-  /// Tenant-mode quiescence/give-up check (the owned-mode maybe_finish reads
-  /// the global event queue, which a shared simulation forbids).
-  void tenant_maybe_finish();
 
   // --- fault handling & recovery -----------------------------------------
+  /// Schedule `fire` at `at` and keep its handle in `tracked` (fault_events_
+  /// or infra_events_, valued `restart`) until it fires or finish() cancels
+  /// it.
+  void schedule_tracked(std::map<sim::EventHandle, bool>& tracked, util::SimTime at,
+                        bool restart, std::function<void()> fire);
+  /// The job occupying `machine` (running, or holding it for a snapshot
+  /// capture / upload), if any.
+  [[nodiscard]] ManagedJob* job_on(MachineId machine);
   void schedule_crashes();
   void crash_node(const NodeCrashEvent& crash);
   void restart_node(MachineId machine);
@@ -305,8 +313,8 @@ class HyperDriveCluster final : public core::SchedulerOps {
 
   // --- gray-failure detection & mitigation (DESIGN.md §7) ------------------
   void schedule_health();
-  void heartbeat_tick(MachineId machine, sim::EventHandle self);
-  void watchdog_tick(sim::EventHandle self);
+  void heartbeat_tick(MachineId machine);
+  void watchdog_tick();
   void handle_heartbeat(const Heartbeat& beat);
   /// Arm/cancel the per-epoch progress deadline (hung-epoch watchdog).
   void arm_progress_deadline(ManagedJob& job);
@@ -322,9 +330,6 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// The effective fleet layout: options_.catalog, or the implicit uniform
   /// single-class catalog when that was empty. Never empty.
   NodeCatalog catalog_;
-  /// Owned in single-tenant mode; null when running against a shared
-  /// simulation (declared before simulation_ so the reference can bind).
-  std::unique_ptr<sim::Simulation> owned_sim_;
   sim::Simulation& simulation_;
   ResourceManager rm_;
   JobManager jm_;
@@ -338,14 +343,13 @@ class HyperDriveCluster final : public core::SchedulerOps {
   EndpointId storage_endpoint_ = 0;
   core::SchedulingPolicy* policy_ = nullptr;
   core::ExperimentResult result_;
-  /// Pending injected fault events (crash / restart), handle -> is_restart.
-  /// When these are the only events left and nothing can make progress they
-  /// are cancelled so a scheduled far-future crash never extends a finished
-  /// experiment.
+  /// Pending fault events (crash, restart, spot warning and reclaim,
+  /// probation), handle -> is_restart. A pending restart or probation keeps
+  /// a quiescent run with queued jobs alive; finish() cancels the rest, so a
+  /// scheduled far-future crash never extends a finished experiment.
   std::map<sim::EventHandle, bool> fault_events_;
   /// Pending health-infrastructure ticks (per-machine heartbeats, the
-  /// watchdog sweep). Like fault_events_ they must never keep a finished
-  /// experiment's clock alive, so maybe_finish treats them as cancellable.
+  /// watchdog sweep): bookkeeping, never work — finish() cancels them.
   std::map<sim::EventHandle, bool> infra_events_;
   /// Machines whose slow-quarantine is decided but whose job is still being
   /// cleanly suspended off them; finalized when the machine is released.
@@ -354,11 +358,7 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// §13); owned here because the input trace is frozen and shared.
   std::vector<std::unique_ptr<workload::TraceJob>> cloned_jobs_;
   bool done_ = false;
-  // --- tenant mode state (DESIGN.md §9) ------------------------------------
-  /// True when constructed against an external (StudyManager-owned)
-  /// simulation: finishing must not stop the shared clock, and quiescence is
-  /// judged from this tenant's own state instead of the global event queue.
-  bool tenant_ = false;
+  // --- lease state (DESIGN.md §9) ------------------------------------------
   CapacityView lease_target_;
   /// Busy machines picked for lease reclaim, parked once their job's clean
   /// suspend releases them.
@@ -366,10 +366,11 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Spot machines inside their preemption-warning window: job migrating
   /// off, machine reclaimed (spot_offline) the moment it is released.
   std::set<MachineId> draining_;
-  /// Parked machines absorbed while crashed/quarantined: not grantable until
-  /// their restart/probation event clears them.
+  /// Parked machines that are not grantable: absorbed while crashed or
+  /// quarantined (until their restart/probation event clears them), or
+  /// reclaimed by the spot provider (for good).
   std::set<MachineId> parked_sick_;
-  /// Per-study Tmax (owned mode truncates via run_until; a tenant cannot).
+  /// The Tmax event (study-timeout), armed by start() when Tmax is finite.
   sim::EventHandle timeout_event_ = 0;
   bool timeout_armed_ = false;
   util::SimTime finished_at_ = util::SimTime::zero();
@@ -382,7 +383,8 @@ class HyperDriveCluster final : public core::SchedulerOps {
   std::size_t lease_reclaims_ = 0;
 };
 
-/// Convenience wrapper mirroring sim::replay_experiment.
+/// One single run, mirroring sim::replay_experiment: a local simulation
+/// that the cluster's finish stops, run to the end, then collect().
 [[nodiscard]] core::ExperimentResult run_cluster_experiment(const workload::Trace& trace,
                                                             core::SchedulingPolicy& policy,
                                                             const ClusterOptions& options);

@@ -147,9 +147,9 @@ class MessageBus {
   [[nodiscard]] const std::string& endpoint_name(EndpointId id) const;
   /// Messages still in the fabric: reliable sends neither acked nor given
   /// up, plus fire-and-forget deliveries not yet handed to their endpoint.
-  /// The multi-study tenant quiescence check (DESIGN.md §9) relies on this
-  /// covering both paths — a completing job's final stat report must keep
-  /// its study alive until delivered.
+  /// The cluster's quiescence check (DESIGN.md §9) relies on this covering
+  /// both paths — a completing job's final stat report must keep its run
+  /// alive until delivered.
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return transmissions_.size() + unreliable_pending_;
   }

@@ -7,6 +7,7 @@
 
 #include "core/policies/default_policy.hpp"
 #include "sim/trace_replay.hpp"
+#include "support/single_run.hpp"
 #include "workload/cifar_model.hpp"
 
 namespace hyperdrive::cluster {
@@ -106,8 +107,9 @@ TEST(ClusterTest, SuspendRecordsOverheadSamples) {
   SuspendOncePolicy policy;
   ClusterOptions options = ideal_options(1);
   options.overheads = cifar_overhead_model();
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_EQ(result.suspends, 3u);
   ASSERT_EQ(result.suspend_samples.size(), 3u);
@@ -130,8 +132,9 @@ TEST(ClusterTest, SuspendRecordsOverheadSamples) {
 TEST(ClusterTest, NodeAgentsAccumulateBusyTime) {
   const auto trace = linear_trace(4, 5);
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, ideal_options(2));
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, ideal_options(2), simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   SimTime agent_total = SimTime::zero();
   std::size_t epochs = 0;

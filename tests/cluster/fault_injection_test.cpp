@@ -20,6 +20,7 @@
 #include "core/policies/default_policy.hpp"
 #include "core/policies/pop_policy.hpp"
 #include "obs/sink.hpp"
+#include "support/single_run.hpp"
 #include "support/timeline.hpp"
 #include "workload/cifar_model.hpp"
 
@@ -265,17 +266,32 @@ TEST(ClusterFaultTest, CrashedNodeJobIsRequeuedAndExperimentCompletes) {
   crash.at = SimTime::seconds(150);  // mid-epoch 3 of whoever runs on node 0
   options.fault_plan.crashes.push_back(crash);
 
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
+
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_EQ(result.recovery.node_crashes, 1u);
   EXPECT_EQ(result.recovery.node_restarts, 0u);
   EXPECT_GE(result.recovery.jobs_requeued, 1u);
   EXPECT_GT(result.recovery.epochs_lost, 0u);  // no snapshot existed yet
   EXPECT_EQ(cluster.fault_stats().node_crashes, 1u);
-  // Permanent capacity loss: the survivor machine finishes everything.
-  EXPECT_EQ(cluster.total_machines(), 1u);
+  // Permanent capacity loss: after node 0's crash the survivor machine hosts
+  // every start and resume.
+  bool crashed = false;
+  std::size_t placed_after_crash = 0;
+  for (const obs::TraceEvent& event : sink.events) {
+    crashed = crashed || event.kind == obs::EventKind::NodeCrash;
+    if (crashed && (event.kind == obs::EventKind::JobStart ||
+                    event.kind == obs::EventKind::JobResume)) {
+      EXPECT_EQ(event.machine, 1) << "t=" << event.time.to_seconds();
+      ++placed_after_crash;
+    }
+  }
+  EXPECT_GE(placed_after_crash, 1u);
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
     EXPECT_EQ(job.epochs_completed, 8u) << "job " << job.job_id;
@@ -291,13 +307,26 @@ TEST(ClusterFaultTest, RestartRestoresCapacity) {
   crash.restart_after = SimTime::seconds(120);
   options.fault_plan.crashes.push_back(crash);
 
+  obs::RecordingSink sink;
+  options.obs.sink = &sink;
+
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  const auto result = run_cluster_experiment(trace, policy, options);
 
   EXPECT_EQ(result.recovery.node_crashes, 1u);
   EXPECT_EQ(result.recovery.node_restarts, 1u);
-  EXPECT_EQ(cluster.total_machines(), 3u);  // back to full membership
+  // Back to full membership: node 1 hosts a start or resume again after its
+  // restart.
+  bool restarted = false;
+  bool placed_after_restart = false;
+  for (const obs::TraceEvent& event : sink.events) {
+    if (event.machine != 1) continue;
+    restarted = restarted || event.kind == obs::EventKind::NodeRestart;
+    placed_after_restart = placed_after_restart ||
+                           (restarted && (event.kind == obs::EventKind::JobStart ||
+                                          event.kind == obs::EventKind::JobResume));
+  }
+  EXPECT_TRUE(placed_after_restart);
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
   }
@@ -316,8 +345,7 @@ TEST(ClusterFaultTest, PopCapacityChangeUpcallFires) {
   config.tmax = SimTime::hours(96);
   config.predictor = core::make_default_predictor(3);
   core::PopPolicy policy(std::move(config));
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  const auto result = run_cluster_experiment(trace, policy, options);
 
   EXPECT_EQ(policy.capacity_changes(), 2u);  // crash + restart
   EXPECT_EQ(result.recovery.node_crashes, 1u);
@@ -336,8 +364,9 @@ TEST(ClusterFaultTest, CrashAfterSnapshotRollsBackOnlyToSnapshotEpoch) {
   options.fault_plan.crashes.push_back(crash);
 
   SuspendOncePolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_EQ(result.recovery.node_crashes, 1u);
   EXPECT_GE(result.recovery.jobs_requeued, 1u);
@@ -358,8 +387,7 @@ TEST(ClusterFaultTest, SnapshotUploadFailureRollsBackAndRetrains) {
   options.fault_plan.snapshot_upload_fail_prob = 1.0;  // every capture fails
 
   SuspendOncePolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  const auto result = run_cluster_experiment(trace, policy, options);
 
   EXPECT_GT(result.recovery.snapshots_lost, 0u);
   EXPECT_GE(result.recovery.jobs_requeued, 3u);
@@ -377,8 +405,9 @@ TEST(ClusterFaultTest, CorruptSnapshotFallsBackToHistoryReplay) {
   options.fault_plan.snapshot_corrupt_prob = 1.0;  // every stored image is bad
 
   SuspendOncePolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_GT(result.recovery.snapshot_restore_failures, 0u);
   EXPECT_GT(cluster.fault_stats().snapshots_corrupted, 0u);
@@ -403,8 +432,9 @@ TEST(ClusterFaultTest, MessageDropsAreSurvivedByRetransmission) {
   options.fault_plan.set_uniform_message_faults(faults);
 
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   // Despite 10% drops the winning stat arrives and the experiment ends.
   EXPECT_TRUE(result.reached_target);
@@ -465,9 +495,10 @@ TEST(GoldenTraceTest, SameSeedSameFaultPlanIsByteIdentical) {
   auto options_b = options;
   options.obs.sink = &sink_a;
   options_b.obs.sink = &sink_b;
-  HyperDriveCluster a(trace, options), b(trace, options_b);
-  const auto ra = a.run(p1);
-  const auto rb = b.run(p2);
+  sim::Simulation a_sim, b_sim;
+  HyperDriveCluster a(trace, options, a_sim), b(trace, options_b, b_sim);
+  const auto ra = run_to_end(a_sim, a, p1);
+  const auto rb = run_to_end(b_sim, b, p2);
 
   // Byte-identical event/decision timelines...
   ASSERT_FALSE(sink_a.events.empty());
@@ -494,14 +525,12 @@ TEST(GoldenTraceTest, DifferentSeedDiverges) {
   options.seed = 99;
   options.obs.sink = &sink_a;
   SuspendOncePolicy p1;
-  HyperDriveCluster a(trace, options);
-  (void)a.run(p1);
+  (void)run_cluster_experiment(trace, p1, options);
 
   options.seed = 100;  // different run seed, same plan
   options.obs.sink = &sink_b;
   SuspendOncePolicy p2;
-  HyperDriveCluster b(trace, options);
-  (void)b.run(p2);
+  (void)run_cluster_experiment(trace, p2, options);
 
   EXPECT_NE(timeline(sink_a), timeline(sink_b));
 }

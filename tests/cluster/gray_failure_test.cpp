@@ -28,6 +28,7 @@
 #include "core/policies/default_policy.hpp"
 #include "core/policies/pop_policy.hpp"
 #include "obs/sink.hpp"
+#include "support/single_run.hpp"
 #include "support/timeline.hpp"
 
 namespace hyperdrive::cluster {
@@ -348,8 +349,9 @@ TEST(GrayClusterTest, SlowdownWithoutHealthLayerOnlyStretchesWallClock) {
 
   auto slowed = base_options(2);
   slowed.fault_plan.slowdowns.push_back(slowdown(0, 3.0));
-  HyperDriveCluster cluster(trace, slowed);
-  const auto result = cluster.run(p2);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, slowed, simulation);
+  const auto result = run_to_end(simulation, cluster, p2);
 
   EXPECT_GT(result.total_time, baseline.total_time);
   EXPECT_EQ(cluster.fault_stats().epochs_slowed, 6u);  // machine 0's job
@@ -373,8 +375,9 @@ TEST(GrayClusterTest, PersistentlySlowNodeIsQuarantinedAndItsJobMigrates) {
   options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_GE(result.recovery.jobs_migrated, 1u);
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
@@ -404,8 +407,9 @@ TEST(GrayClusterTest, HungEpochTripsProgressDeadlineAndJobMigrates) {
   options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_EQ(result.recovery.hung_jobs_detected, 1u);
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
@@ -443,8 +447,9 @@ TEST(GrayClusterTest, SilentIdleNodeIsQuarantinedByTheWatchdog) {
   options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
   EXPECT_EQ(result.recovery.jobs_migrated, 0u);  // nothing was running there
@@ -472,8 +477,9 @@ TEST(GrayClusterTest, RecoveredNodeServesProbationAndIsReinstated) {
   options.obs.sink = &sink;
 
   core::DefaultPolicy policy;
-  HyperDriveCluster cluster(trace, options);
-  const auto result = cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  const auto result = run_to_end(simulation, cluster, policy);
 
   EXPECT_GE(result.recovery.nodes_quarantined, 2u);  // initial + failed probation
   EXPECT_EQ(result.recovery.nodes_reinstated, 1u);
@@ -526,9 +532,10 @@ TEST(GoldenGrayTraceTest, SlowdownHangAndQuarantineEventsAreByteIdentical) {
   options_b.obs.sink = &sink_b;
 
   core::DefaultPolicy p1, p2;
-  HyperDriveCluster a(trace, options), b(trace, options_b);
-  const auto ra = a.run(p1);
-  const auto rb = b.run(p2);
+  sim::Simulation a_sim, b_sim;
+  HyperDriveCluster a(trace, options, a_sim), b(trace, options_b, b_sim);
+  const auto ra = run_to_end(a_sim, a, p1);
+  const auto rb = run_to_end(b_sim, b, p2);
 
   // The scenario really exercises the gray machinery...
   EXPECT_GE(ra.recovery.nodes_quarantined, 2u);  // slow machine 0 + hung machine 2
@@ -557,12 +564,10 @@ TEST(GoldenGrayTraceTest, DifferentSeedDiverges) {
 
   core::DefaultPolicy p1, p2;
   options.obs.sink = &sink_a;
-  HyperDriveCluster a(trace, options);
-  (void)a.run(p1);
+  (void)run_cluster_experiment(trace, p1, options);
   options.seed = 100;
   options.obs.sink = &sink_b;
-  HyperDriveCluster b(trace, options);
-  (void)b.run(p2);
+  (void)run_cluster_experiment(trace, p2, options);
   EXPECT_NE(timeline(sink_a), timeline(sink_b));
 }
 
@@ -632,8 +637,9 @@ TEST(GrayExplorationInvarianceTest, SlowdownOnlyFaultsNeverChangeWhatPopExplores
     core::PopConfig config2 = config;
     config2.predictor = core::make_default_predictor(seed);
     core::PopPolicy gray_pop(config2);
-    HyperDriveCluster cluster(trace, gray);
-    const auto faulty = cluster.run(gray_pop);
+    sim::Simulation simulation;
+    HyperDriveCluster cluster(trace, gray, simulation);
+    const auto faulty = run_to_end(simulation, cluster, gray_pop);
 
     const auto a = classify_outcome(clean);
     const auto b = classify_outcome(faulty);

@@ -7,6 +7,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/policies/default_policy.hpp"
+#include "support/single_run.hpp"
 #include "workload/cifar_model.hpp"
 
 namespace hyperdrive::cluster {
@@ -266,8 +267,9 @@ TEST(MessageBusIntegrationTest, ClusterTrafficIsAccounted) {
   ClusterOptions options;
   options.machines = 1;
   options.stop_on_target = false;
-  HyperDriveCluster cluster(trace, options);
-  (void)cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  (void)run_to_end(simulation, cluster, policy);
 
   const auto& stats = cluster.message_stats();
   // Every completed epoch produced one ReportStat RPC (partial epochs from

@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/policies/default_policy.hpp"
+#include "support/single_run.hpp"
 #include "workload/cifar_model.hpp"
 
 namespace hyperdrive::cluster {
@@ -115,8 +116,9 @@ TEST(SnapshotCodecTest, ClusterSuspendStoresDecodableImages) {
   options.machines = 1;
   options.stop_on_target = false;
   options.epoch_jitter_sigma = 0.0;
-  HyperDriveCluster cluster(trace, options);
-  (void)cluster.run(policy);
+  sim::Simulation simulation;
+  HyperDriveCluster cluster(trace, options, simulation);
+  (void)run_to_end(simulation, cluster, policy);
 
   const auto snapshot = cluster.app_stat_db().latest_snapshot(1);
   ASSERT_TRUE(snapshot.has_value());

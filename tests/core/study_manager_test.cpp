@@ -1,6 +1,6 @@
 // StudyManager tests (multi-tenant study scheduling, DESIGN.md §9):
-//   * a single study routed through the manager is byte-identical to the
-//     plain single-tenant cluster path (timeline and result);
+//   * a single study routed through the manager is byte-identical to a
+//     single cluster run (timeline and result), however the run ends;
 //   * fair-share arbitration hands a finished study's capacity to the
 //     survivors, static partitioning strands it;
 //   * cancellation drains a tenant and the pool absorbs its slots;
@@ -10,13 +10,17 @@
 //   * an attached sink changes no checkpoint or CSV byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "core/policies/asha_policy.hpp"
 #include "core/policies/default_policy.hpp"
 #include "core/study/study_manager.hpp"
 #include "core/sweep_engine.hpp"
@@ -71,58 +75,113 @@ struct Traced {
   std::vector<std::string> timeline;
 };
 
+/// How a lone run ends: at its target, by quiescence on the last stat
+/// delivery with every job done, at Tmax, or by quiescence with idle slots
+/// and paused jobs that no event can resume.
+enum class Ending { Target, LastStat, Tmax, IdlePaused };
+
+/// One row of the single-run vs single-study agreement table.
+struct AgreementCase {
+  const char* name;
+  Ending ending;
+  double target;
+  SimTime tmax;
+  std::function<std::unique_ptr<SchedulingPolicy>()> policy;
+};
+
 TEST(StudyManagerTest, SingleStudyIsByteIdenticalToOwnedCluster) {
-  const auto trace = curved_trace(6, 10, 0.9, 3.0, 0.85);
+  const auto strict_asha = [] {
+    AshaConfig config;
+    config.strict_promotion = true;
+    return std::make_unique<AshaPolicy>(config);
+  };
+  const std::vector<AgreementCase> cases = {
+      {"target-reached", Ending::Target, 0.85, SimTime::hours(48), default_policy_factory()},
+      {"unreachable-target", Ending::LastStat, 0.99, SimTime::hours(48),
+       default_policy_factory()},
+      {"tmax", Ending::Tmax, 0.99, SimTime::minutes(20), default_policy_factory()},
+      {"strict-asha-idle", Ending::IdlePaused, 0.99, SimTime::hours(48), strict_asha},
+  };
+  for (const AgreementCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto trace = curved_trace(12, 10, 0.9, 3.0, c.target);
 
-  obs::RecordingSink owned_sink;
-  cluster::ClusterOptions co;
-  co.machines = 4;
-  co.seed = 5;
-  co.obs.sink = &owned_sink;
-  DefaultPolicy owned_policy;
-  cluster::HyperDriveCluster owned(trace, co);
-  const auto owned_result = owned.run(owned_policy);
+    obs::RecordingSink single_sink;
+    cluster::ClusterOptions co;
+    co.machines = 4;
+    co.seed = 5;
+    co.max_experiment_time = c.tmax;
+    co.obs.sink = &single_sink;
+    const auto single_policy = c.policy();
+    const auto single = cluster::run_cluster_experiment(trace, *single_policy, co);
 
-  obs::RecordingSink multi_sink;
-  StudyManagerOptions options;
-  options.machines = 4;
-  options.obs.sink = &multi_sink;
-  StudyManager manager(options);
-  auto spec = make_spec("solo", 5);
-  manager.add_study(spec, trace, default_policy_factory());
-  const auto multi = manager.run();
+    obs::RecordingSink multi_sink;
+    StudyManagerOptions options;
+    options.machines = 4;
+    options.obs.sink = &multi_sink;
+    StudyManager manager(options);
+    auto spec = make_spec("solo", 5);
+    spec.tmax = c.tmax;
+    manager.add_study(spec, trace, c.policy);
+    const auto multi = manager.run();
 
-  ASSERT_EQ(multi.studies.size(), 1u);
-  const auto& tenant_result = multi.studies[0].result;
-  // The whole event stream — allocation order, message timing, decisions —
-  // must match byte for byte. The manager's own capacity events have no
-  // single-cluster counterpart.
-  const auto want = timeline(owned_sink);
-  const auto got =
-      timeline(multi_sink, {obs::EventKind::NodeAcquired, obs::EventKind::NodeReleased});
-  ASSERT_FALSE(want.empty());
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "line " << i;
+    // The case ends the way it is named.
+    const bool paused = std::any_of(
+        single.job_stats.begin(), single.job_stats.end(),
+        [](const JobRunStats& js) { return js.final_status == JobStatus::Suspended; });
+    switch (c.ending) {
+      case Ending::Target:
+        EXPECT_TRUE(single.reached_target);
+        break;
+      case Ending::LastStat:
+        EXPECT_FALSE(single.reached_target);
+        EXPECT_LT(single.total_time, c.tmax);
+        EXPECT_FALSE(paused);
+        break;
+      case Ending::Tmax:
+        EXPECT_EQ(single.total_time, c.tmax);
+        EXPECT_TRUE(timeline_contains(single_sink, "study-timeout"));
+        break;
+      case Ending::IdlePaused:
+        EXPECT_LT(single.total_time, c.tmax);
+        EXPECT_TRUE(paused);
+        break;
+    }
+
+    ASSERT_EQ(multi.studies.size(), 1u);
+    const auto& study = multi.studies[0].result;
+    // The whole event stream — allocation order, message timing, decisions,
+    // the study-timeout at Tmax — must match byte for byte. The manager's own
+    // capacity events have no single-run counterpart.
+    const auto want = timeline(single_sink);
+    const auto got =
+        timeline(multi_sink, {obs::EventKind::NodeAcquired, obs::EventKind::NodeReleased});
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "line " << i;
+    }
+    EXPECT_EQ(study.reached_target, single.reached_target);
+    EXPECT_EQ(study.time_to_target, single.time_to_target);
+    EXPECT_EQ(study.total_time, single.total_time);
+    EXPECT_EQ(study.total_machine_time, single.total_machine_time);
+    EXPECT_EQ(study.slot_seconds, single.slot_seconds);
+    EXPECT_EQ(study.spend_usd, single.spend_usd);
+    EXPECT_EQ(study.suspends, single.suspends);
+    EXPECT_EQ(study.terminations, single.terminations);
+    EXPECT_EQ(study.jobs_started, single.jobs_started);
+    EXPECT_EQ(study.winning_job, single.winning_job);
+    EXPECT_EQ(study.best_perf, single.best_perf);
+    EXPECT_EQ(study.job_stats.size(), single.job_stats.size());
+    for (std::size_t i = 0; i < std::min(study.job_stats.size(), single.job_stats.size()); ++i) {
+      EXPECT_EQ(study.job_stats[i].final_status, single.job_stats[i].final_status);
+      EXPECT_EQ(study.job_stats[i].epochs_completed, single.job_stats[i].epochs_completed);
+      EXPECT_EQ(study.job_stats[i].execution_time, single.job_stats[i].execution_time);
+    }
+    // A lone study holds the full pool for its whole run.
+    EXPECT_EQ(study.lease_grants, 0u);
+    EXPECT_EQ(study.lease_reclaims, 0u);
   }
-  EXPECT_EQ(tenant_result.reached_target, owned_result.reached_target);
-  EXPECT_EQ(tenant_result.time_to_target, owned_result.time_to_target);
-  EXPECT_EQ(tenant_result.total_time, owned_result.total_time);
-  EXPECT_EQ(tenant_result.total_machine_time, owned_result.total_machine_time);
-  EXPECT_EQ(tenant_result.suspends, owned_result.suspends);
-  EXPECT_EQ(tenant_result.terminations, owned_result.terminations);
-  EXPECT_EQ(tenant_result.jobs_started, owned_result.jobs_started);
-  EXPECT_EQ(tenant_result.winning_job, owned_result.winning_job);
-  ASSERT_EQ(tenant_result.job_stats.size(), owned_result.job_stats.size());
-  for (std::size_t i = 0; i < tenant_result.job_stats.size(); ++i) {
-    EXPECT_EQ(tenant_result.job_stats[i].epochs_completed,
-              owned_result.job_stats[i].epochs_completed);
-    EXPECT_EQ(tenant_result.job_stats[i].execution_time,
-              owned_result.job_stats[i].execution_time);
-  }
-  // A lone tenant holds the full pool for its whole run.
-  EXPECT_EQ(tenant_result.lease_grants, 0u);
-  EXPECT_EQ(tenant_result.lease_reclaims, 0u);
 }
 
 TEST(StudyManagerTest, FairShareHandsFinishedStudysSlotsToSurvivors) {

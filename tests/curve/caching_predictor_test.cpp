@@ -351,8 +351,7 @@ Fig07Cell run_fig07_cell(std::uint64_t seed, bool warm_start) {
   copts.machines = 2;
   copts.seed = seed;
   copts.obs.sink = &sink;
-  cluster::HyperDriveCluster cluster(trace, copts);
-  const auto result = cluster.run(policy);
+  const auto result = cluster::run_cluster_experiment(trace, policy, copts);
 
   Fig07Cell out;
   out.timeline = timeline(sink);

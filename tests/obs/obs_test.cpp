@@ -29,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/sink.hpp"
+#include "support/single_run.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -225,16 +226,18 @@ TEST(ObsGoldenTraceTest, AttachedSinkIsByteInvisible) {
   const auto options = faulty_options();
 
   SuspendOncePolicy p1, p2;
-  cluster::HyperDriveCluster bare(trace, options);
-  const auto bare_result = bare.run(p1);
+  sim::Simulation bare_sim;
+  cluster::HyperDriveCluster bare(trace, options, bare_sim);
+  const auto bare_result = run_to_end(bare_sim, bare, p1);
 
   auto observed_options = options;
   obs::RecordingSink sink;
   obs::MetricsRegistry registry;
   observed_options.obs.sink = &sink;
   observed_options.obs.metrics = &registry;
-  cluster::HyperDriveCluster observed(trace, observed_options);
-  const auto observed_result = observed.run(p2);
+  sim::Simulation observed_sim;
+  cluster::HyperDriveCluster observed(trace, observed_options, observed_sim);
+  const auto observed_result = run_to_end(observed_sim, observed, p2);
 
   // Sinks observe, never perturb: the full deterministic cluster state (job,
   // machine, lease and health state, RNG streams) is byte-identical...
@@ -258,8 +261,7 @@ TEST(ObsGoldenTraceTest, PublishedMetricsMirrorResultCounters) {
   options.obs.metrics = &registry;
 
   SuspendOncePolicy policy;
-  cluster::HyperDriveCluster run(trace, options);
-  const auto result = run.run(policy);
+  const auto result = cluster::run_cluster_experiment(trace, policy, options);
 
   EXPECT_EQ(registry.counter("cluster.jobs_started").value(), result.jobs_started);
   EXPECT_EQ(registry.counter("cluster.suspends").value(), result.suspends);
