@@ -1,22 +1,25 @@
 // Shared helpers for the figure-reproduction benches. Each bench binary
 // regenerates the data behind one figure/table of the paper and prints it as
 // labelled text series (the repository's equivalent of the plots). Every
-// repeated experiment grid runs through the SweepEngine (src/core), so all
-// benches accept:
+// repeated experiment grid runs through the SweepEngine (src/core), and every
+// bench parses one cli::Options flag table:
 //   --jobs N      sweep worker threads (default: hardware concurrency)
 //   --csv PATH    write the SweepTable as CSV (EXPERIMENTS.md schema)
+//   --out PATH    perf benches: where the BENCH_*.json record goes
 //   --smoke       tiny-repeat run for the bench_smoke CTest label
+// Benches without a sweep accept the same flags, so a typo or a bad value is
+// rejected everywhere.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/experiment_runner.hpp"
 #include "core/policy_registry.hpp"
 #include "core/sweep_engine.hpp"
+#include "util/cli_options.hpp"
 #include "util/stats.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/lunar_model.hpp"
@@ -56,33 +59,20 @@ struct BenchOptions {
   }
 };
 
+/// Parse the common bench flags; prints a diagnostic and exits 2 on an
+/// unknown flag or a bad value, and prints the generated help on --help.
 inline BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jobs") {
-      options.jobs = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--csv") {
-      options.csv = next();
-    } else if (arg == "--out") {
-      options.out = next();
-    } else if (arg == "--smoke") {
-      options.smoke = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("bench options: [--jobs N] [--csv PATH] [--out PATH] [--smoke]\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown bench option: %s (try --help)\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  const std::string program = argc > 0 ? argv[0] : "bench";
+  cli::Options flags(program.substr(program.find_last_of('/') + 1),
+                     "reproduce one figure or table of the paper's evaluation");
+  flags.bind("--jobs", "N", "sweep worker threads, 0 = all cores  [0]", options.jobs);
+  flags.bind("--csv", "PATH", "write the sweep table as CSV", options.csv);
+  flags.bind("--out", "PATH", "perf benches: write the BENCH_*.json record here",
+             options.out);
+  flags.add_flag("--smoke", "tiny-repeat run for the bench_smoke CTest label",
+                 options.smoke);
+  if (!flags.parse(argc, argv)) std::exit(2);
   return options;
 }
 

@@ -6,7 +6,8 @@
 
 using namespace hyperdrive;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 1", "50 random CIFAR-10 configurations, accuracy vs epoch");
 
   workload::CifarWorkloadModel model;

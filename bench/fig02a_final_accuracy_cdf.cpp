@@ -5,7 +5,8 @@
 
 using namespace hyperdrive;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 2a", "final-accuracy CDF of 90 random CIFAR-10 configs");
 
   workload::CifarWorkloadModel model;

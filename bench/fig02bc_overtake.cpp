@@ -12,7 +12,8 @@
 
 using namespace hyperdrive;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 2b", "overtake: A leads early, B wins finally");
 
   workload::CifarWorkloadModel model;

@@ -10,7 +10,8 @@
 
 using namespace hyperdrive;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 3",
                       "prediction mean +- stddev at epoch 10 / 30 vs measured final");
 

@@ -27,7 +27,8 @@ void print_snapshot(const core::PopSnapshot& snap) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 4", "POP desired/deserved slots and promising ratio");
 
   workload::CifarWorkloadModel model;

@@ -5,7 +5,8 @@
 
 using namespace hyperdrive;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)bench::parse_bench_args(argc, argv);  // no sweep: the flags change nothing here
   bench::print_header("Figure 8", "15 random LunarLander configurations, reward vs trials");
 
   workload::LunarWorkloadModel model;

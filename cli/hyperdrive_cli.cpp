@@ -6,8 +6,8 @@
 //   hyperdrive_cli --workload ptb_lstm --policy hyperband --generator tpe
 //   hyperdrive_cli --trace-out run.csv --metrics-out metrics.csv ...
 //   hyperdrive_cli --help
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "util/cli_options.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 using namespace hyperdrive;
@@ -77,6 +76,30 @@ struct CliConfig {
            kill_after_checkpoints != 0;
   }
 };
+
+/// One --fault-crash value, "M:T[:R]": machine id M (a MachineId), crash
+/// time T and restart delay R in hours (finite, >= 0). Throws
+/// std::invalid_argument on anything else.
+cluster::NodeCrashEvent parse_crash(const std::string& spec) {
+  const auto hours = [](const std::string& text, util::SimTime& out) {
+    double h = 0.0;
+    if (!cli::Options::parse_double(text, h) || !std::isfinite(h) || h < 0.0) return false;
+    out = util::SimTime::hours(h);
+    return true;
+  };
+  const std::size_t t = spec.find(':');
+  const std::size_t r = t == std::string::npos ? t : spec.find(':', t + 1);
+  std::uint64_t machine = 0;
+  cluster::NodeCrashEvent crash;
+  const bool ok =
+      t != std::string::npos && cli::Options::parse_uint(spec.substr(0, t), machine) &&
+      machine <= std::numeric_limits<cluster::MachineId>::max() &&
+      hours(spec.substr(t + 1, r == std::string::npos ? r : r - t - 1), crash.at) &&
+      (r == std::string::npos || hours(spec.substr(r + 1), crash.restart_after));
+  if (!ok) throw std::invalid_argument("'" + spec + "' (want M:T[:R]: a machine id, hours >= 0)");
+  crash.machine = static_cast<cluster::MachineId>(machine);
+  return crash;
+}
 
 /// The full flag table; --help is generated from it, so the usage screen and
 /// the parser cannot drift apart.
@@ -135,12 +158,6 @@ cli::Options make_options(CliConfig& config) {
                config.trace_out);
   options.bind("--metrics-out", "FILE",
                "write the end-of-run metrics snapshot CSV", config.metrics_out);
-  options.add("--log-level", "LEVEL",
-              "debug|info|warn|error|off (overrides HD_LOG)  [warn]",
-              [](const std::string& level) {
-                util::set_log_level(util::log_level_from_string(level));
-                return true;
-              });
 
   options.section("fault injection (cluster substrate only; deterministic per seed)");
   options.add("--fault-plan", "FILE",
@@ -169,19 +186,7 @@ cli::Options make_options(CliConfig& config) {
               "crash machine M at T hours; restart after R hours\n"
               "(omit R for a permanent loss; repeatable)",
               [&config](const std::string& spec) {
-                cluster::NodeCrashEvent crash;
-                char* rest = nullptr;
-                crash.machine = static_cast<cluster::MachineId>(
-                    std::strtoull(spec.c_str(), &rest, 10));
-                if (rest == nullptr || *rest != ':') {
-                  throw std::invalid_argument("'" + spec + "' (want M:T[:R])");
-                }
-                crash.at = util::SimTime::hours(std::strtod(rest + 1, &rest));
-                if (rest != nullptr && *rest == ':') {
-                  crash.restart_after =
-                      util::SimTime::hours(std::strtod(rest + 1, nullptr));
-                }
-                config.fault_plan.crashes.push_back(crash);
+                config.fault_plan.crashes.push_back(parse_crash(spec));
                 return true;
               });
   options.bind("--fault-snapshot-fail", "P",
@@ -360,7 +365,6 @@ int run_studies(const CliConfig& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::init_log_level_from_env();  // HD_LOG; --log-level overrides
   CliConfig config;
   const cli::Options options = make_options(config);
   if (!options.parse(argc, argv)) return 2;

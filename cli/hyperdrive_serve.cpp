@@ -16,7 +16,6 @@
 #include "svc/server.hpp"
 #include "svc/service.hpp"
 #include "util/cli_options.hpp"
-#include "util/log.hpp"
 
 using namespace hyperdrive;
 
@@ -94,12 +93,6 @@ cli::Options make_options(ServeConfig& config) {
                config.state_dir);
   options.bind("--metrics-out", "FILE", "write the svc.* metrics snapshot CSV on exit",
                config.metrics_out);
-  options.add("--log-level", "LEVEL",
-              "debug|info|warn|error|off (overrides HD_LOG)  [warn]",
-              [](const std::string& level) {
-                util::set_log_level(util::log_level_from_string(level));
-                return true;
-              });
   return options;
 }
 
@@ -112,7 +105,6 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::init_log_level_from_env();
   ServeConfig config;
   const cli::Options options = make_options(config);
   if (!options.parse(argc, argv)) return 2;

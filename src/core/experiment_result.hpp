@@ -26,29 +26,6 @@ struct JobRunStats {
   std::string study;
 };
 
-/// Per-tenant summary row of a multi-study run (DESIGN.md §9): what each
-/// study got out of the shared cluster. Emitted on the aggregate
-/// ExperimentResult and in the multi-study CSV so sweeps can slice per
-/// tenant.
-struct StudyRow {
-  std::string study;
-  bool reached_target = false;
-  util::SimTime time_to_target = util::SimTime::infinity();
-  /// Integral of leased slots over the study's lifetime (slot-seconds): the
-  /// capacity the arbiter charged to this tenant, busy or not.
-  util::SimTime slot_seconds = util::SimTime::zero();
-  bool had_deadline = false;
-  util::SimTime deadline = util::SimTime::infinity();
-  /// reached_target && time_to_target <= deadline (false without a deadline).
-  bool deadline_met = false;
-  bool cancelled = false;
-  std::size_t lease_grants = 0;
-  std::size_t lease_reclaims = 0;
-  /// Dollars charged to this tenant: integral of held slots x their node
-  /// class's price over the study's lifetime (DESIGN.md §15).
-  double spend_usd = 0.0;
-};
-
 /// One suspend operation's overhead sample (§6.2.3 / Fig. 10).
 struct SuspendSample {
   JobId job_id = 0;
@@ -138,8 +115,6 @@ struct ExperimentResult {
   /// price over time (DESIGN.md §15). Under the default uniform catalog
   /// (price 1.0/hour) this equals slot_seconds in hours.
   double spend_usd = 0.0;
-  /// Per-study rows (populated only on a MultiStudyResult aggregate).
-  std::vector<StudyRow> study_rows;
 };
 
 }  // namespace hyperdrive::core

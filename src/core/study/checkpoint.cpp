@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "cluster/fault_injector.hpp"
+#include "util/atomic_file.hpp"
 #include "util/bytes.hpp"
 
 namespace hyperdrive::core {
@@ -227,20 +228,11 @@ std::string CheckpointStore::path_for(std::uint64_t sequence) const {
 
 std::size_t CheckpointStore::write(const CoordinatorCheckpoint& cp) {
   const std::vector<std::uint8_t> image = encode_checkpoint(cp);
-  const std::string final_path = path_for(cp.sequence);
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("checkpoint: cannot open " + tmp_path);
-    out.write(reinterpret_cast<const char*>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    out.flush();
-    if (!out) throw std::runtime_error("checkpoint: short write to " + tmp_path);
-  }
-  // rename(2) is atomic within a filesystem: readers see either the old frame
-  // or the new one, never a torn prefix — the property the SIGKILL smoke test
-  // leans on.
-  std::filesystem::rename(tmp_path, final_path);
+  // Readers see either the old frame or the new one, never a torn prefix —
+  // the property the SIGKILL smoke test leans on.
+  util::write_file_atomic(
+      path_for(cp.sequence),
+      std::string_view(reinterpret_cast<const char*>(image.data()), image.size()));
   return image.size();
 }
 
@@ -250,11 +242,10 @@ std::vector<std::uint64_t> CheckpointStore::list() const {
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     // ckpt-NNNNNN.hdck (sequence may exceed six digits; parse whatever is
-    // between the dash and the dot).
-    if (name.rfind("ckpt-", 0) != 0) continue;
-    const std::size_t dot = name.rfind(".hdck");
-    if (dot == std::string::npos || dot <= 5) continue;
-    const std::string digits = name.substr(5, dot - 5);
+    // between the dash and the suffix). A ".hdck.tmp" write in flight is not
+    // a frame.
+    if (!name.starts_with("ckpt-") || !name.ends_with(".hdck")) continue;
+    const std::string digits = name.substr(5, name.size() - 10);
     if (digits.empty() ||
         !std::all_of(digits.begin(), digits.end(), [](char c) { return c >= '0' && c <= '9'; })) {
       continue;

@@ -1,8 +1,6 @@
 #include "core/study/study_manager.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -19,16 +17,6 @@
 namespace hyperdrive::core {
 
 namespace {
-
-/// Fixed-format double for the byte-deterministic multi-study CSV.
-std::string fmt(double x) {
-  if (std::isinf(x)) return x > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", x);
-  return buf;
-}
-
-std::string fmt(std::uint64_t x) { return std::to_string(x); }
 
 /// The one workload -> overhead-model choice: CRIU-sized snapshots for the
 /// RL workload, framework checkpoints for everything else.
@@ -747,20 +735,6 @@ ExperimentResult MultiStudyResult::aggregate() const {
     agg.suspend_samples.insert(agg.suspend_samples.end(), r.suspend_samples.begin(),
                                r.suspend_samples.end());
     add_recovery(agg.recovery, r.recovery);
-
-    StudyRow row;
-    row.study = s.spec.name;
-    row.reached_target = r.reached_target;
-    row.time_to_target = r.time_to_target;
-    row.slot_seconds = r.slot_seconds;
-    row.had_deadline = s.spec.has_deadline();
-    row.deadline = s.spec.deadline;
-    row.deadline_met = s.deadline_met;
-    row.cancelled = s.cancelled;
-    row.lease_grants = r.lease_grants;
-    row.lease_reclaims = r.lease_reclaims;
-    row.spend_usd = r.spend_usd;
-    agg.study_rows.push_back(std::move(row));
   }
   agg.reached_target = all_reached;
   agg.time_to_target = all_reached ? makespan : util::SimTime::infinity();
@@ -784,23 +758,23 @@ void MultiStudyResult::save_csv(std::ostream& out) const {
     fields.push_back(s.spec.workload);
     fields.push_back(s.spec.policy);
     fields.push_back(s.spec.generator);
-    fields.push_back(fmt(s.spec.weight));
-    fields.push_back(fmt(static_cast<std::uint64_t>(s.spec.seed)));
+    fields.push_back(util::csv_number(s.spec.weight));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(s.spec.seed)));
     fields.push_back(r.reached_target ? "1" : "0");
-    fields.push_back(fmt(r.time_to_target.to_minutes()));
-    fields.push_back(fmt(r.total_time.to_minutes()));
-    fields.push_back(fmt(r.best_perf));
-    fields.push_back(fmt(s.spec.deadline.to_minutes()));
+    fields.push_back(util::csv_number(r.time_to_target.to_minutes()));
+    fields.push_back(util::csv_number(r.total_time.to_minutes()));
+    fields.push_back(util::csv_number(r.best_perf));
+    fields.push_back(util::csv_number(s.spec.deadline.to_minutes()));
     fields.push_back(s.deadline_met ? "1" : "0");
     fields.push_back(s.cancelled ? "1" : "0");
-    fields.push_back(fmt(r.slot_seconds.to_hours()));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.lease_grants)));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.lease_reclaims)));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.jobs_started)));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.suspends)));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.terminations)));
-    fields.push_back(fmt(static_cast<std::uint64_t>(r.recovery.jobs_migrated)));
-    fields.push_back(fmt(r.spend_usd));
+    fields.push_back(util::csv_number(r.slot_seconds.to_hours()));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.lease_grants)));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.lease_reclaims)));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.jobs_started)));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.suspends)));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.terminations)));
+    fields.push_back(util::csv_number(static_cast<std::uint64_t>(r.recovery.jobs_migrated)));
+    fields.push_back(util::csv_number(r.spend_usd));
     writer.write_row(fields);
   }
 }

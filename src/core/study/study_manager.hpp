@@ -171,13 +171,13 @@ struct MultiStudyResult {
   std::size_t rebalances = 0;
   /// The cloud bill ($): the autoscaler's integral of acquired nodes × class
   /// price over the run — includes acquired-but-idle capacity, unlike the
-  /// per-study chargeback in StudyRow::spend_usd (DESIGN.md §15).
+  /// per-study chargeback in each outcome's result.spend_usd (DESIGN.md §15).
   double spend_usd = 0.0;
 
   /// Roll the outcomes up into one ExperimentResult: counters summed,
   /// job_stats concatenated (tagged with their study), reached_target only
-  /// when every study reached its target, time_to_target = the makespan over
-  /// studies, and one StudyRow per study.
+  /// when every study reached its target, and time_to_target = the makespan
+  /// over studies.
   [[nodiscard]] ExperimentResult aggregate() const;
   /// One CSV row per study (EXPERIMENTS.md "Multi-study CSV schema").
   /// Byte-deterministic: every number goes through one fixed format.

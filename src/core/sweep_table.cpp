@@ -1,7 +1,5 @@
 #include "core/sweep_table.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,22 +8,6 @@
 #include "util/csv.hpp"
 
 namespace hyperdrive::core {
-
-namespace {
-
-/// Fixed-format double: the CSV must be byte-deterministic, so every number
-/// goes through one formatting path. Infinities (censored time-to-target
-/// before censoring) print as "inf".
-std::string fmt(double x) {
-  if (std::isinf(x)) return x > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", x);
-  return buf;
-}
-
-std::string fmt(std::uint64_t x) { return std::to_string(x); }
-
-}  // namespace
 
 double SweepRow::minutes_to_target() const {
   return result.reached_target ? result.time_to_target.to_minutes()
@@ -96,27 +78,27 @@ void SweepTable::save_csv(std::ostream& out) const {
   for (const auto& row : rows) {
     std::vector<std::string> fields;
     fields.reserve(header.size());
-    fields.push_back(fmt(row.cell.linear));
+    fields.push_back(util::csv_number(row.cell.linear));
     for (std::size_t a = 0; a < axes.size(); ++a) fields.push_back(label(row, a));
     const auto& r = row.result;
-    fields.push_back(fmt(row.cell.seed));
+    fields.push_back(util::csv_number(row.cell.seed));
     fields.push_back(r.policy_name);
     fields.push_back(r.reached_target ? "1" : "0");
-    fields.push_back(fmt(r.time_to_target.to_minutes()));
-    fields.push_back(fmt(r.total_time.to_minutes()));
-    fields.push_back(fmt(r.best_perf));
-    fields.push_back(fmt(r.total_machine_time.to_minutes()));
-    fields.push_back(fmt(r.jobs_started));
-    fields.push_back(fmt(r.suspends));
-    fields.push_back(fmt(r.terminations));
-    fields.push_back(fmt(r.clones));
-    fields.push_back(fmt(r.retransmissions));
-    fields.push_back(fmt(r.recovery.jobs_requeued));
-    fields.push_back(fmt(r.recovery.epochs_lost));
-    fields.push_back(fmt(r.recovery.jobs_migrated));
-    fields.push_back(fmt(r.recovery.nodes_quarantined));
-    fields.push_back(fmt(r.recovery.wrong_kills));
-    for (const double x : row.extra) fields.push_back(fmt(x));
+    fields.push_back(util::csv_number(r.time_to_target.to_minutes()));
+    fields.push_back(util::csv_number(r.total_time.to_minutes()));
+    fields.push_back(util::csv_number(r.best_perf));
+    fields.push_back(util::csv_number(r.total_machine_time.to_minutes()));
+    fields.push_back(util::csv_number(r.jobs_started));
+    fields.push_back(util::csv_number(r.suspends));
+    fields.push_back(util::csv_number(r.terminations));
+    fields.push_back(util::csv_number(r.clones));
+    fields.push_back(util::csv_number(r.retransmissions));
+    fields.push_back(util::csv_number(r.recovery.jobs_requeued));
+    fields.push_back(util::csv_number(r.recovery.epochs_lost));
+    fields.push_back(util::csv_number(r.recovery.jobs_migrated));
+    fields.push_back(util::csv_number(r.recovery.nodes_quarantined));
+    fields.push_back(util::csv_number(r.recovery.wrong_kills));
+    for (const double x : row.extra) fields.push_back(util::csv_number(x));
     writer.write_row(fields);
   }
 }
@@ -142,7 +124,7 @@ void SweepTable::save_timeline_csv(std::ostream& out) const {
   for (const auto& row : rows) {
     std::vector<std::string> prefix;
     prefix.reserve(1 + axes.size());
-    prefix.push_back(fmt(row.cell.linear));
+    prefix.push_back(util::csv_number(row.cell.linear));
     for (std::size_t a = 0; a < axes.size(); ++a) prefix.push_back(label(row, a));
     for (const auto& event : row.events) {
       std::vector<std::string> fields = prefix;

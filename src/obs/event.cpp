@@ -1,8 +1,5 @@
 #include "obs/event.hpp"
 
-#include <iomanip>
-#include <sstream>
-
 namespace hyperdrive::obs {
 
 std::string_view to_string(EventKind kind) noexcept {
@@ -43,7 +40,6 @@ std::string_view to_string(EventKind kind) noexcept {
     case EventKind::PolicyPromote: return "promote";
     case EventKind::PredictorFit: return "predictor-fit";
     case EventKind::PredictorCacheHit: return "predictor-cache-hit";
-    case EventKind::LogMessage: return "log";
     case EventKind::CheckpointWritten: return "checkpoint-written";
     case EventKind::CheckpointLoaded: return "checkpoint-loaded";
     case EventKind::CheckpointFallback: return "checkpoint-fallback";
@@ -57,119 +53,6 @@ std::string_view to_string(EventKind kind) noexcept {
     case EventKind::StudyFinished: return "study-finished";
   }
   return "?";
-}
-
-std::string legacy_text(const TraceEvent& e) {
-  const auto job = [&] { return " job=" + std::to_string(e.job); };
-  const auto machine = [&] { return " machine=" + std::to_string(e.machine); };
-  const auto epoch = [&] { return " epoch=" + std::to_string(e.epoch); };
-  switch (e.kind) {
-    case EventKind::JobStart:
-      return "start" + job() + machine();
-    case EventKind::JobResume:
-      return "resume" + job() + machine() + epoch();
-    case EventKind::EpochComplete:
-      return "epoch" + job() + epoch();
-    case EventKind::JobComplete:
-      return "complete" + job();
-    case EventKind::JobSuspend:
-      return "suspend" + job() + epoch();
-    case EventKind::JobTerminate:
-      return "terminate" + job() + epoch();
-    case EventKind::JobRequeue:
-      return "requeue" + job() + epoch();
-    case EventKind::JobMigrate:
-      return "migrate" + job() + machine() + " reason=" + e.detail;
-    case EventKind::JobClone:
-      return "clone" + job() + epoch() + " donor=" + e.detail;
-    case EventKind::TargetReached:
-      return "target" + job() + epoch();
-    case EventKind::SnapshotStored:
-      return "snapshot-stored" + job() + epoch();
-    case EventKind::SnapshotUploadFailed:
-      return "snapshot-upload-failed" + job();
-    case EventKind::SnapshotUploadLost:
-      return "snapshot-upload-lost" + job();
-    case EventKind::SnapshotCorrupted:
-      return "snapshot-corrupted" + job();
-    case EventKind::SnapshotRestoreFailed:
-      return "snapshot-restore-failed" + job();
-    case EventKind::NodeCrash:
-      return "crash" + machine();
-    case EventKind::NodeRestart:
-      return "restart" + machine() + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::NodeSuspect:
-      return "suspect" + machine();
-    case EventKind::NodeSuspectCleared:
-      return "suspect-cleared" + machine();
-    case EventKind::NodeQuarantine:
-      return "quarantine" + machine() + (e.detail.empty() ? "" : " reason=" + e.detail);
-    case EventKind::NodeProbation:
-      return "probation" + machine() + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::NodeReinstate:
-      return "reinstate" + machine();
-    case EventKind::HangDetected:
-      return "hang-detected" + job() + machine();
-    case EventKind::WrongKill:
-      return "wrong-kill" + job() + machine();
-    case EventKind::LeaseGrant:
-      return "lease-grant" + machine();
-    case EventKind::LeasePark:
-      return "lease-park" + machine() + " reason=" + e.detail;
-    case EventKind::LeaseMigrate:
-      return "lease-migrate" + job() + machine();
-    case EventKind::StudyTimeout:
-      return "study-timeout";
-    case EventKind::StudyCancelled:
-      return "study-cancelled";
-    case EventKind::SpotWarning:
-      return "spot-warning" + machine();
-    case EventKind::SpotPreempted:
-      return "spot-preempted" + machine();
-    case EventKind::NodeAcquired:
-      return "node-acquired" + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::NodeReleased:
-      return "node-released" + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::PolicyPromote:
-      return "promote" + job();
-    case EventKind::PredictorFit:
-      return "predictor-fit";
-    case EventKind::PredictorCacheHit:
-      return "predictor-cache-hit";
-    case EventKind::LogMessage:
-      return "log " + e.detail;
-    case EventKind::CheckpointWritten:
-      return "checkpoint-written" + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::CheckpointLoaded:
-      return "checkpoint-loaded" + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::CheckpointFallback:
-      return "checkpoint-fallback" + (e.detail.empty() ? "" : " reason=" + e.detail);
-    case EventKind::CoordinatorCrash:
-      return "coordinator-crash";
-    case EventKind::CoordinatorResume:
-      return "coordinator-resume" + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::ColdRestart:
-      return "cold-restart" + (e.detail.empty() ? "" : " reason=" + e.detail);
-    case EventKind::StudySubmitted:
-      return "study-submitted" + job() + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::StudyAdmitted:
-      return "study-admitted" + job() + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::StudyQueued:
-      return "study-queued" + job() + (e.detail.empty() ? "" : ' ' + e.detail);
-    case EventKind::StudyRejected:
-      return "study-rejected" + job() + (e.detail.empty() ? "" : " reason=" + e.detail);
-    case EventKind::StudyFinished:
-      return "study-finished" + job() + (e.detail.empty() ? "" : ' ' + e.detail);
-  }
-  return "?";
-}
-
-std::string render_line(const TraceEvent& event) {
-  std::ostringstream os;
-  os << "t=" << std::fixed << std::setprecision(9) << event.time.to_seconds() << ' ';
-  if (!event.study.empty()) os << "study=" << event.study << ' ';
-  os << legacy_text(event);
-  return os.str();
 }
 
 }  // namespace hyperdrive::obs

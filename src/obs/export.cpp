@@ -11,8 +11,7 @@ namespace hyperdrive::obs {
 
 namespace {
 
-/// Event times use render_line's 9-decimal precision so a timeline row and
-/// the golden-trace line of the same event agree on the timestamp bytes.
+/// Event times print with 9 decimals (nanoseconds) in both exports.
 std::string fmt_time(util::SimTime t) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9f", t.to_seconds());

@@ -1,7 +1,7 @@
 // Timeline exporters: the per-run event stream as CSV or JSONL (DESIGN.md
 // §10, EXPERIMENTS.md "Timeline CSV schema"). Both exports are byte-
 // deterministic: events are written in emission order, times through one
-// fixed 9-decimal format (the same precision render_line uses).
+// fixed 9-decimal format. A timeline row is the one text form of an event.
 #pragma once
 
 #include <iosfwd>

@@ -1,26 +1,14 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/csv.hpp"
+
 namespace hyperdrive::obs {
-
-namespace {
-
-/// One fixed formatting path, mirroring the sweep CSV's fmt contract.
-std::string fmt(double x) {
-  if (std::isinf(x)) return x > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", x);
-  return buf;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
@@ -146,18 +134,18 @@ void MetricsRegistry::write_csv(std::ostream& out) const {
         out << entry.name << ",counter," << entry.counter->value() << '\n';
         break;
       case Type::Gauge:
-        out << entry.name << ",gauge," << fmt(entry.gauge->value()) << '\n';
+        out << entry.name << ",gauge," << util::csv_number(entry.gauge->value()) << '\n';
         break;
       case Type::Histogram: {
         const Histogram& h = *entry.histogram;
         out << entry.name << ".count,histogram," << h.count() << '\n';
-        out << entry.name << ".sum,histogram," << fmt(h.sum()) << '\n';
-        out << entry.name << ".min,histogram," << fmt(h.count() > 0 ? h.min() : 0.0)
-            << '\n';
-        out << entry.name << ".max,histogram," << fmt(h.count() > 0 ? h.max() : 0.0)
-            << '\n';
+        out << entry.name << ".sum,histogram," << util::csv_number(h.sum()) << '\n';
+        out << entry.name << ".min,histogram,"
+            << util::csv_number(h.count() > 0 ? h.min() : 0.0) << '\n';
+        out << entry.name << ".max,histogram,"
+            << util::csv_number(h.count() > 0 ? h.max() : 0.0) << '\n';
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          out << entry.name << ".le_" << fmt(h.bounds()[i]) << ",histogram,"
+          out << entry.name << ".le_" << util::csv_number(h.bounds()[i]) << ",histogram,"
               << h.cumulative(i) << '\n';
         }
         break;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace hyperdrive::sim {
 
 TraceReplaySimulator::TraceReplaySimulator(const workload::Trace& trace,

@@ -9,10 +9,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/study/checkpoint.hpp"
 #include "core/study/coordinator.hpp"
 #include "core/study/study_manager.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
+#include "util/atomic_file.hpp"
 
 namespace hyperdrive::svc {
 
@@ -31,18 +33,6 @@ struct JoinOnExit {
 
   std::thread thread;
 };
-
-/// Durable-write discipline shared with the checkpoint store: the journal is
-/// only ever observed in a complete state (tmp + rename).
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write '" + tmp + "'");
-    out << content;
-  }
-  fs::rename(tmp, path);
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -72,15 +62,7 @@ std::string one_line(std::string text) {
 
 bool has_checkpoint_frames(const std::string& dir) {
   std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return false;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt-", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".hdck") == 0) {
-      return true;
-    }
-  }
-  return false;
+  return fs::is_directory(dir, ec) && !core::CheckpointStore(dir).list().empty();
 }
 
 double now_ms() {
@@ -134,16 +116,22 @@ void StudyService::write_meta_locked(const Submission& sub) const {
   os << "ttt " << buf << "\n";
   std::snprintf(buf, sizeof buf, "%.17g", sub.total_time_s);
   os << "total " << buf << "\n";
-  write_file_atomic(sub_dir(sub.id) + "/meta", os.str());
+  util::write_file_atomic(sub_dir(sub.id) + "/meta", os.str());
 }
 
 void StudyService::journal_locked(const Submission& sub) const {
   if (options_.state_dir.empty()) return;
-  fs::create_directories(sub_dir(sub.id));
-  // The spec text is journaled verbatim: the resume scan re-parses exactly
-  // the bytes the tenant submitted, so re-admission sees the same spec.
-  write_file_atomic(sub_dir(sub.id) + "/spec.study", sub.spec_text);
-  write_meta_locked(sub);
+  try {
+    fs::create_directories(sub_dir(sub.id));
+    // The spec text is journaled verbatim: the resume scan re-parses exactly
+    // the bytes the tenant submitted, so re-admission sees the same spec.
+    util::write_file_atomic(sub_dir(sub.id) + "/spec.study", sub.spec_text);
+    write_meta_locked(sub);
+  } catch (...) {
+    std::error_code ignored;
+    fs::remove_all(sub_dir(sub.id), ignored);  // leave no half entry for the resume scan
+    throw;
+  }
 }
 
 StudyInfo StudyService::info_locked(const Submission& sub) const {
@@ -203,36 +191,47 @@ SubmitOutcome StudyService::submit(const std::string& tenant, const std::string&
   const AdmissionDecision decision =
       admission_.submit(id, tenant, options_.machines, spec.deadline);
   out.id = id;
-  if (decision.verdict == AdmissionVerdict::Reject) {
-    out.reason = decision.reason;
+  Submission sub;
+  sub.id = id;
+  sub.tenant = tenant;
+  sub.spec = std::move(spec);
+  sub.state =
+      decision.verdict == AdmissionVerdict::Run ? StudyState::Running : StudyState::Queued;
+  std::string rejection =
+      decision.verdict == AdmissionVerdict::Reject ? decision.reason : std::string();
+  if (decision.verdict != AdmissionVerdict::Reject) {
+    sub.spec_text = spec_text;
+    // Journal BEFORE the reply: once the client hears "Submitted", a SIGKILL
+    // can no longer lose the submission. A submission the journal cannot
+    // hold is not accepted: its admission is undone and it is rejected.
+    try {
+      journal_locked(sub);
+    } catch (const std::exception& e) {
+      if (decision.verdict == AdmissionVerdict::Run) {
+        (void)admission_.release(id);
+      } else {
+        (void)admission_.cancel_queued(id);
+      }
+      rejection = std::string("journal-failed: ") + e.what();
+    }
+  }
+  if (!rejection.empty()) {
+    out.reason = rejection;
     bump("svc.rejected");
     options_.obs.emit(obs::TraceEvent(obs::EventKind::StudyRejected)
                           .with_job(static_cast<std::int64_t>(id))
-                          .with_detail(decision.reason));
+                          .with_detail(rejection));
     // Rejections are memory-only: the submission index remembers them until
     // the process exits, the journal never sees them (DESIGN.md §14).
-    Submission sub;
-    sub.id = id;
-    sub.tenant = tenant;
-    sub.spec = spec;
+    sub.spec_text.clear();
     sub.state = StudyState::Failed;
-    sub.detail = decision.reason;
+    sub.detail = std::move(rejection);
     subs_.emplace(id, std::move(sub));
     return out;
   }
 
-  Submission sub;
-  sub.id = id;
-  sub.tenant = tenant;
-  sub.spec_text = spec_text;
-  sub.spec = std::move(spec);
-  sub.state =
-      decision.verdict == AdmissionVerdict::Run ? StudyState::Running : StudyState::Queued;
   auto [it, inserted] = subs_.emplace(id, std::move(sub));
   (void)inserted;
-  // Journal BEFORE the reply: once the client hears "Submitted", a SIGKILL
-  // can no longer lose the submission.
-  journal_locked(it->second);
 
   out.accepted = true;
   out.state = it->second.state;
@@ -276,7 +275,17 @@ void StudyService::drain_locked() {
     if (it == subs_.end()) continue;
     it->second.state = StudyState::Running;
     it->second.detail.clear();
-    write_meta_locked(it->second);
+    try {
+      write_meta_locked(it->second);
+    } catch (const std::exception& e) {
+      // The run never starts: it fails the way a run whose journal breaks does.
+      it->second.state = StudyState::Failed;
+      it->second.detail = std::string("run-failed: ") + e.what();
+      bump("svc.failed");
+      queued_at_ms_.erase(*next);
+      (void)admission_.release(*next);
+      continue;
+    }
     bump("svc.admitted");
     options_.obs.emit(obs::TraceEvent(obs::EventKind::StudyAdmitted)
                           .with_job(static_cast<std::int64_t>(*next))
@@ -342,8 +351,12 @@ void StudyService::run_study(std::uint64_t id) {
     obs::write_timeline_csv(ts, sink.events);
     timeline_csv = ts.str();
     if (!dir.empty()) {
-      write_file_atomic(dir + "/result.csv", result_csv);
-      write_file_atomic(dir + "/timeline.csv", timeline_csv);
+      try {
+        util::write_file_atomic(dir + "/result.csv", result_csv);
+        util::write_file_atomic(dir + "/timeline.csv", timeline_csv);
+      } catch (const std::exception& e) {
+        failure = e.what();
+      }
     }
   }
 
@@ -355,11 +368,7 @@ void StudyService::run_study(std::uint64_t id) {
   const auto it = subs_.find(id);
   if (it == subs_.end()) return;
   Submission& sub = it->second;
-  if (!failure.empty()) {
-    sub.state = StudyState::Failed;
-    sub.detail = "run-failed: " + failure;
-    bump("svc.failed");
-  } else {
+  if (failure.empty()) {
     sub.result_csv = std::move(result_csv);
     sub.timeline_csv = std::move(timeline_csv);
     if (!run.result.studies.empty()) {
@@ -375,14 +384,29 @@ void StudyService::run_study(std::uint64_t id) {
       // complete); the state records the tenant's intent.
       sub.state = StudyState::Cancelled;
       sub.detail = "cancelled while running; run completed first";
-      bump("svc.cancelled");
     } else {
       sub.state = StudyState::Finished;
       sub.detail.clear();
-      bump("svc.completed");
+    }
+    try {
+      write_meta_locked(sub);
+    } catch (const std::exception& e) {
+      failure = e.what();
     }
   }
-  write_meta_locked(sub);
+  if (!failure.empty()) {
+    sub.state = StudyState::Failed;
+    sub.detail = "run-failed: " + failure;
+    try {
+      write_meta_locked(sub);
+    } catch (const std::exception& e) {
+      // The journal still says running, so a restart runs the study again.
+      sub.detail += std::string("; journal: ") + e.what();
+    }
+  }
+  bump(sub.state == StudyState::Failed      ? "svc.failed"
+       : sub.state == StudyState::Cancelled ? "svc.cancelled"
+                                            : "svc.completed");
   options_.obs.emit(obs::TraceEvent(obs::EventKind::StudyFinished)
                         .with_job(static_cast<std::int64_t>(id))
                         .with_detail("tenant=" + sub.tenant));
@@ -401,11 +425,19 @@ bool StudyService::cancel(std::uint64_t id, std::string& error) {
   Submission& sub = it->second;
   switch (sub.state) {
     case StudyState::Queued:
-      (void)admission_.cancel_queued(id);
-      queued_at_ms_.erase(id);
       sub.state = StudyState::Cancelled;
       sub.detail = "cancelled while queued";
-      write_meta_locked(sub);
+      try {
+        write_meta_locked(sub);
+      } catch (const std::exception& e) {
+        // Unjournaled, the cancel would not survive a restart: refuse it.
+        sub.state = StudyState::Queued;
+        sub.detail = "queued";
+        error = std::string("journal-failed: ") + e.what();
+        return false;
+      }
+      (void)admission_.cancel_queued(id);
+      queued_at_ms_.erase(id);
       bump("svc.cancelled");
       idle_cv_.notify_all();
       return true;

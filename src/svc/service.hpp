@@ -24,7 +24,10 @@
 // are reloaded from their meta, unfinished ones are re-admitted in id order
 // and their runs resume from the newest valid checkpoint frame (deterministic
 // replay with byte-verification), so the final artifacts are identical to an
-// uninterrupted run. Rejected submissions are deliberately memory-only.
+// uninterrupted run. Rejected submissions are deliberately memory-only, and
+// so is a submission the journal fails to hold ("journal-failed: ..."). A
+// journal write that fails later fails the run ("run-failed: ..."); no
+// journal error escapes to the server or a worker thread.
 #pragma once
 
 #include <condition_variable>
@@ -87,14 +90,16 @@ class StudyService {
   /// Parse + admit one submission. Never throws on bad input: a spec the
   /// parser or core::resolve_study rejects (unknown workload, generator or
   /// policy, unaccepted policy option) comes back as a memory-only rejection
-  /// with reason "bad-spec: ...".
+  /// with reason "bad-spec: ...", and one whose journal entry cannot be
+  /// written with "journal-failed: ..." (its admission undone).
   [[nodiscard]] SubmitOutcome submit(const std::string& tenant, const std::string& spec_text);
 
   /// Cancel a submission. Queued: removed immediately (quota released).
   /// Running: cooperative — the deterministic study run is not interruptible
   /// mid-sim, so the cancel latches and the submission is marked Cancelled
   /// when its worker returns (artifacts are still written). Returns false
-  /// with `error` set for unknown ids and terminal states.
+  /// with `error` set for unknown ids, terminal states, and a queued cancel
+  /// the journal fails to record ("journal-failed: ...").
   bool cancel(std::uint64_t id, std::string& error);
 
   [[nodiscard]] std::optional<StudyInfo> status(std::uint64_t id) const;

@@ -1,8 +1,9 @@
 // cli::Options — a declarative command-line flag table shared by the
-// executables (hyperdrive_cli, tools/trace_sweep). Each flag is registered
-// once with its value placeholder and help text; `--help` output is generated
-// from the table, so the usage screen can never drift from the parser again
-// (the old hand-written print_usage had exactly that failure mode).
+// executables (hyperdrive_cli, hyperdrive_serve, tools/trace_sweep and every
+// bench). Each flag is registered once with its value placeholder and help
+// text; `--help` output is generated from the table, so the usage screen can
+// never drift from the parser again (the old hand-written print_usage had
+// exactly that failure mode).
 //
 // Deliberately tiny: long options only ("--name value"), sections for help
 // grouping, typed bind() helpers for the common scalar targets, and a custom
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -47,7 +49,7 @@ class Options {
 
   /// Register "--name <value_name>" bound to a scalar target. Supported T:
   /// std::string, integral types (parsed base-10, must consume the whole
-  /// token), and floating-point types.
+  /// token and fit in T), and floating-point types.
   template <typename T>
   void bind(std::string name, std::string value_name, std::string help, T& target) {
     add(std::move(name), std::move(value_name), std::move(help),
@@ -57,7 +59,10 @@ class Options {
             return true;
           } else if constexpr (std::is_integral_v<T>) {
             std::uint64_t parsed = 0;
-            if (!parse_uint(text, parsed)) return false;
+            if (!parse_uint(text, parsed) ||
+                parsed > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+              return false;
+            }
             target = static_cast<T>(parsed);
             return true;
           } else {
@@ -80,7 +85,8 @@ class Options {
 
   /// Strict unsigned parse: decimal digits only (no sign, space or
   /// exponent) that fit in 64 bits; false on failure. SpecParser::integer
-  /// shares it.
+  /// and hand-rolled command lines (--fault-crash, hyperdrive_client)
+  /// share it.
   static bool parse_uint(const std::string& text, std::uint64_t& out);
   /// Strict double parse (whole token); false on failure.
   static bool parse_double(const std::string& text, double& out);

@@ -1,5 +1,7 @@
 #include "util/csv.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -45,6 +47,15 @@ std::string csv_escape(const std::string& field) {
   out += '"';
   return out;
 }
+
+std::string csv_number(double x) {
+  if (std::isinf(x)) return x > 0 ? "inf" : "-inf";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", x);
+  return buf;
+}
+
+std::string csv_number(std::uint64_t x) { return std::to_string(x); }
 
 CsvTable parse_csv(std::istream& in) {
   CsvTable table;

@@ -3,6 +3,7 @@
 // all the trace format needs.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -35,6 +36,13 @@ class CsvWriter {
 
 /// Quote a single field if needed (RFC-4180 style).
 [[nodiscard]] std::string csv_escape(const std::string& field);
+
+/// The one number format of the byte-deterministic CSVs (sweep, multi-study
+/// and metrics tables): fixed "%.6f", infinities (the time to a target never
+/// reached) as "inf" / "-inf".
+[[nodiscard]] std::string csv_number(double x);
+/// Integral counters and seeds, in full decimal.
+[[nodiscard]] std::string csv_number(std::uint64_t x);
 
 /// Parse an entire CSV document (first row = header).
 /// Throws std::runtime_error on ragged rows or unterminated quotes.

@@ -23,6 +23,7 @@
 namespace hyperdrive::cluster {
 namespace {
 
+using obs::EventKind;
 using util::SimTime;
 
 NodeCatalog mixed_catalog() {
@@ -250,8 +251,8 @@ TEST(ElasticSpotTest, BusyMachineDrainsThroughCleanMigrationNeverAKill) {
   const auto result = cluster.collect();
   EXPECT_EQ(cluster.fault_stats().spot_warnings, 1u);
   EXPECT_EQ(cluster.fault_stats().spot_preemptions, 1u);
-  EXPECT_TRUE(timeline_contains(sink, "spot-warning machine=3"));
-  EXPECT_TRUE(timeline_contains(sink, "migrate") && timeline_contains(sink, "spot"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::SpotWarning, .machine = 3}));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::JobMigrate, .machine = 3, .detail = "spot"}));
   // The drain is the straggler-migration path: a clean snapshot suspend —
   // never a kill, never a lost epoch.
   EXPECT_GE(result.recovery.jobs_migrated, 1u);
@@ -283,7 +284,7 @@ TEST(ElasticSpotTest, TooShortWarningYanksCrashStyleButJobsStillFinish) {
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
   const auto result = cluster.collect();
-  EXPECT_TRUE(timeline_contains(sink, "spot-preempted machine=2"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::SpotPreempted, .machine = 2}));
   // The yank is a crash, not a kill: the occupant rolls back and requeues.
   EXPECT_EQ(result.recovery.wrong_kills, 0u);
   EXPECT_EQ(result.terminations, 0u);

@@ -19,6 +19,7 @@ namespace hyperdrive::cluster {
 namespace {
 
 using core::JobStatus;
+using obs::EventKind;
 using util::SimTime;
 
 workload::Trace linear_trace(std::size_t jobs, std::size_t epochs) {
@@ -126,8 +127,8 @@ TEST(TenantLeaseTest, SameTickReclaimAndRegrant) {
   EXPECT_TRUE(cluster.grant_one(0));
   EXPECT_EQ(cluster.held_slots(), 3u);
   EXPECT_FALSE(cluster.grant_one(0));  // at target
-  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=3 reason=reclaim"));
-  EXPECT_TRUE(timeline_contains(sink, "lease-grant machine=2"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::LeasePark, .machine = 3, .detail = "reclaim"}));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::LeaseGrant, .machine = 2}));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -156,7 +157,7 @@ TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
   // All four machines are busy: nothing parks synchronously; the two
   // reclaimed slots drain via clean suspend.
   EXPECT_EQ(cluster.held_slots(), 4u);
-  EXPECT_TRUE(timeline_contains(sink, "lease-migrate"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::LeaseMigrate}));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -166,7 +167,7 @@ TEST(TenantLeaseTest, MidEpochReclaimMigratesInsteadOfKilling) {
   EXPECT_EQ(result.terminations, 0u);
   EXPECT_EQ(result.recovery.epochs_lost, 0u);  // migration is a clean suspend
   EXPECT_EQ(result.lease_reclaims, 2u);
-  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=3 reason=reclaim"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::LeasePark, .machine = 3, .detail = "reclaim"}));
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;
     EXPECT_EQ(job.epochs_completed, 6u) << "job " << job.job_id;
@@ -194,7 +195,8 @@ TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
   EXPECT_EQ(cluster.held_slots(), 3u);
   cluster.set_lease_target(CapacityView::single(2));  // no idle slot left: absorbs the corpse
   EXPECT_EQ(cluster.held_slots(), 2u);
-  EXPECT_TRUE(timeline_contains(sink, "lease-park machine=0 reason=reclaim-offline"));
+  EXPECT_TRUE(
+      has_event(sink, {.kind = EventKind::LeasePark, .machine = 0, .detail = "reclaim-offline"}));
 
   // The absorbed slot is sick: raising the target can only re-grant the
   // healthy parked slot.
@@ -204,7 +206,7 @@ TEST(TenantLeaseTest, ReclaimAbsorbsCrashedSlotUntilRestartHealsIt) {
   EXPECT_FALSE(cluster.grant_one(0));  // only the sick slot remains
 
   sim.run_until(SimTime::seconds(350));  // restart heals the parked corpse
-  EXPECT_TRUE(timeline_contains(sink, "restart machine=0 parked"));
+  EXPECT_TRUE(has_event(sink, {.kind = EventKind::NodeRestart, .machine = 0, .detail = "parked"}));
   EXPECT_TRUE(cluster.grant_one(0));
   EXPECT_EQ(cluster.held_slots(), 4u);
 
@@ -243,8 +245,10 @@ TEST(TenantLeaseTest, ReclaimFromQuarantinedNodeHealsThroughProbation) {
   // place and the tenant keeps only its healthy machine.
   cluster.set_lease_target(CapacityView::single(1));
   EXPECT_EQ(cluster.held_slots(), 1u);
-  EXPECT_TRUE(timeline_contains(sink, "reason=reclaim-offline") ||
-              timeline_contains(sink, "reason=reclaim-quarantine"));
+  EXPECT_TRUE(
+      has_event(sink, {.kind = EventKind::LeasePark, .machine = 0, .detail = "reclaim-offline"}) ||
+      has_event(sink,
+                {.kind = EventKind::LeasePark, .machine = 0, .detail = "reclaim-quarantine"}));
 
   sim.run_until(SimTime::hours(10));
   ASSERT_TRUE(cluster.finished());
@@ -252,7 +256,8 @@ TEST(TenantLeaseTest, ReclaimFromQuarantinedNodeHealsThroughProbation) {
   EXPECT_EQ(result.recovery.nodes_quarantined, 1u);
   // Probation cleared the parked slot without re-admitting it (only a lease
   // grant does that).
-  EXPECT_TRUE(timeline_contains(sink, "probation machine=0 parked"));
+  EXPECT_TRUE(
+      has_event(sink, {.kind = EventKind::NodeProbation, .machine = 0, .detail = "parked"}));
   EXPECT_EQ(result.recovery.epochs_lost, 0u);  // quarantine migration is clean
   for (const auto& job : result.job_stats) {
     EXPECT_EQ(job.final_status, JobStatus::Completed) << "job " << job.job_id;

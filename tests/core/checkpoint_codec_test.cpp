@@ -183,6 +183,7 @@ TEST(CheckpointCodecTest, StoreSkipsForeignFilesInListing) {
   (void)store.write(cp);
   std::ofstream(dir / "README.txt") << "not a frame";
   std::ofstream(dir / "ckpt-junk.hdck") << "bad digits";
+  std::ofstream(dir / "ckpt-000005.hdck.tmp") << "a write in flight";
 
   EXPECT_EQ(store.list(), (std::vector<std::uint64_t>{2}));
   std::filesystem::remove_all(dir);

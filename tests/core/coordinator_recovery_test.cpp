@@ -617,7 +617,7 @@ TEST(CoordinatorRecoveryTest, CheckpointWrittenRidesTheDeterministicTimeline) {
                                                  fixture_admit());
     std::vector<std::string> lines;
     for (const obs::TraceEvent* event : sink.of_kind(obs::EventKind::CheckpointWritten)) {
-      lines.push_back(obs::render_line(*event));
+      lines.push_back(timeline_row(*event));
     }
     return lines;
   };

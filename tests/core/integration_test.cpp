@@ -8,6 +8,7 @@
 #include "core/experiment_runner.hpp"
 #include "core/policy_registry.hpp"
 #include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/lunar_model.hpp"
 
@@ -194,7 +195,7 @@ TEST(AdaptiveSearchTest, FeedbackImprovesPopulationQuality) {
 /// run, as one comparable string.
 std::string journal(const ExperimentResult& result, const obs::RecordingSink& sink) {
   std::ostringstream out;
-  for (const auto& event : sink.events) out << obs::render_line(event) << '\n';
+  for (const auto& event : sink.events) out << timeline_row(event) << '\n';
   out << result.reached_target << ' ' << result.time_to_target.to_seconds() << ' '
       << result.winning_job << ' ' << result.best_perf << ' ' << result.total_time.to_seconds()
       << ' ' << result.total_machine_time.to_seconds() << ' ' << result.suspends << ' '

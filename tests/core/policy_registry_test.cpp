@@ -28,6 +28,7 @@
 #include "core/policies/pop_policy.hpp"
 #include "core/sweep_engine.hpp"
 #include "obs/sink.hpp"
+#include "support/timeline.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/trace_tools.hpp"
 
@@ -129,7 +130,7 @@ std::string run_journal(const workload::Trace& trace,
   options.obs.sink = &sink;
   const auto result = run_experiment(trace, *policy, options);
   std::ostringstream out;
-  for (const auto& event : sink.events) out << obs::render_line(event) << '\n';
+  for (const auto& event : sink.events) out << timeline_row(event) << '\n';
   out << result.reached_target << ' ' << result.time_to_target.to_seconds() << ' '
       << result.total_machine_time.to_seconds() << ' ' << result.terminations << ' '
       << result.jobs_started << '\n';

@@ -69,10 +69,12 @@ std::function<std::unique_ptr<SchedulingPolicy>()> default_policy_factory() {
   return [] { return std::make_unique<DefaultPolicy>(); };
 }
 
-/// A finished multi-study run plus the timeline its sink recorded.
+/// A finished multi-study run plus what its sink recorded: the events and
+/// their timeline rows.
 struct Traced {
   MultiStudyResult result;
   std::vector<std::string> timeline;
+  std::vector<obs::TraceEvent> events;
 };
 
 /// How a lone run ends: at its target, by quiescence on the last stat
@@ -140,7 +142,7 @@ TEST(StudyManagerTest, SingleStudyIsByteIdenticalToOwnedCluster) {
         break;
       case Ending::Tmax:
         EXPECT_EQ(single.total_time, c.tmax);
-        EXPECT_TRUE(timeline_contains(single_sink, "study-timeout"));
+        EXPECT_TRUE(has_event(single_sink, {.kind = obs::EventKind::StudyTimeout}));
         break;
       case Ending::IdlePaused:
         EXPECT_LT(single.total_time, c.tmax);
@@ -242,12 +244,9 @@ TEST(StudyManagerTest, CancellationDrainsTheTenant) {
   // The survivor inherited the cancelled study's slots and its jobs all ran.
   EXPECT_GE(result.studies[1].result.lease_grants, 1u);
   EXPECT_EQ(result.studies[1].result.jobs_started, 8u);
-  const auto agg = result.aggregate();
-  ASSERT_EQ(agg.study_rows.size(), 2u);
-  EXPECT_TRUE(agg.study_rows[0].cancelled);
-  EXPECT_FALSE(agg.reached_target);
+  EXPECT_FALSE(result.aggregate().reached_target);
   // The merged stream attributes every tenant event.
-  EXPECT_TRUE(timeline_contains(sink, "study=doomed study-cancelled"));
+  EXPECT_TRUE(has_event(sink, {.kind = obs::EventKind::StudyCancelled, .study = "doomed"}));
 }
 
 Traced run_three_study_mix(std::uint64_t base_seed) {
@@ -270,7 +269,7 @@ Traced run_three_study_mix(std::uint64_t base_seed) {
   manager.add_study(gamma, curved_trace(4, 8, 0.9, 2.0, 0.75),
                     default_policy_factory());
   MultiStudyResult result = manager.run();
-  return {std::move(result), timeline(sink)};
+  return {std::move(result), timeline(sink), std::move(sink.events)};
 }
 
 std::string csv_bytes(const MultiStudyResult& result) {
@@ -292,12 +291,12 @@ TEST(StudyManagerTest, ThreeStudyMixIsDeterministic) {
   EXPECT_EQ(a.result.total_time, b.result.total_time);
   // Every tenant event of a multi-study stream is attributed to its study;
   // only the manager's own capacity events carry none.
-  for (const auto& line : a.timeline) {
-    if (line.find(" node-acquired ") != std::string::npos ||
-        line.find(" node-released ") != std::string::npos) {
+  for (const obs::TraceEvent& event : a.events) {
+    if (event.kind == obs::EventKind::NodeAcquired ||
+        event.kind == obs::EventKind::NodeReleased) {
       continue;
     }
-    EXPECT_NE(line.find(" study="), std::string::npos) << line;
+    EXPECT_FALSE(event.study.empty()) << timeline_row(event);
   }
 }
 
@@ -393,10 +392,8 @@ TEST(StudyManagerTest, DeadlineAwareModeRunsAndFlagsDeadlines) {
   const auto& u = result.studies[0];
   EXPECT_EQ(u.deadline_met,
             u.result.reached_target && u.result.time_to_target <= SimTime::hours(1));
-  const auto agg = result.aggregate();
-  ASSERT_EQ(agg.study_rows.size(), 2u);
-  EXPECT_TRUE(agg.study_rows[0].had_deadline);
-  EXPECT_FALSE(agg.study_rows[1].had_deadline);
+  EXPECT_TRUE(u.spec.has_deadline());
+  EXPECT_FALSE(result.studies[1].spec.has_deadline());
 }
 
 // --- elastic cost-aware capacity (DESIGN.md §15) -----------------------------
@@ -427,7 +424,7 @@ Traced run_elastic_mix(std::uint64_t seed) {
   manager.add_study(thrifty, curved_trace(6, 8, 0.6, 4.0, 0.99),
                     default_policy_factory());
   MultiStudyResult result = manager.run();
-  return {std::move(result), timeline(sink)};
+  return {std::move(result), timeline(sink), std::move(sink.events)};
 }
 
 TEST(ElasticStudyManagerTest, AutoscaledSpotRunsAreDeterministicAcrossThirtySeeds) {

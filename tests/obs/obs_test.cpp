@@ -1,15 +1,13 @@
 // The observability battery (DESIGN.md §10). Covers, in order:
 //   * MetricsRegistry: registration-order CSV export, name/type conflicts,
 //     histogram bucket accounting;
-//   * TraceEvent rendering: legacy_text / render_line reproduce the golden
-//     event-log vocabulary, timeline CSV/JSONL field mapping;
+//   * TraceEvent rendering: timeline CSV/JSONL field mapping and escaping;
 //   * sink invisibility: attaching a RecordingSink + registry to a faulty
 //     cluster run changes nothing — its encoded state and result are
 //     byte-identical to the bare run's;
 //   * metrics faithfulness: published counters mirror the result counters;
 //   * sweep timeline determinism: the cell-prefixed timeline CSV is
-//     byte-identical under --jobs 1 and --jobs 8;
-//   * the log bridge: captured util::log lines become LogMessage events.
+//     byte-identical under --jobs 1 and --jobs 8.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,13 +23,12 @@
 #include "core/sweep_engine.hpp"
 #include "obs/event.hpp"
 #include "obs/export.hpp"
-#include "obs/log_bridge.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/sink.hpp"
 #include "support/single_run.hpp"
+#include "support/timeline.hpp"
 #include "util/bytes.hpp"
-#include "util/log.hpp"
 
 namespace hyperdrive {
 namespace {
@@ -95,37 +92,6 @@ TEST(ObsMetricsTest, UnsortedHistogramBoundsThrow) {
 
 // ---------------------------------------------------------------- rendering --
 
-TEST(ObsEventTest, LegacyTextReproducesEventLogVocabulary) {
-  EXPECT_EQ(obs::legacy_text(obs::TraceEvent(obs::EventKind::JobStart)
-                                 .with_job(3)
-                                 .with_machine(1)),
-            "start job=3 machine=1");
-  EXPECT_EQ(obs::legacy_text(obs::TraceEvent(obs::EventKind::EpochComplete)
-                                 .with_job(7)
-                                 .with_epoch(4)),
-            "epoch job=7 epoch=4");
-  EXPECT_EQ(obs::legacy_text(obs::TraceEvent(obs::EventKind::JobMigrate)
-                                 .with_job(2)
-                                 .with_machine(5)
-                                 .with_detail("slow")),
-            "migrate job=2 machine=5 reason=slow");
-  EXPECT_EQ(obs::legacy_text(obs::TraceEvent(obs::EventKind::WrongKill)
-                                 .with_job(9)
-                                 .with_machine(0)),
-            "wrong-kill job=9 machine=0");
-  EXPECT_EQ(obs::legacy_text(obs::TraceEvent(obs::EventKind::StudyTimeout)),
-            "study-timeout");
-}
-
-TEST(ObsEventTest, RenderLineStampsTimeAndStudy) {
-  obs::TraceEvent event(obs::EventKind::NodeCrash);
-  event.machine = 2;
-  event.time = SimTime::seconds(1.5);
-  EXPECT_EQ(obs::render_line(event), "t=1.500000000 crash machine=2");
-  event.study = "alpha";
-  EXPECT_EQ(obs::render_line(event), "t=1.500000000 study=alpha crash machine=2");
-}
-
 TEST(ObsEventTest, JsonlEscapesEveryControlByte) {
   // Study names are whitespace-delimited tokens from user files, so they can
   // carry control bytes; JSON allows none raw. The classic escapes stay.
@@ -165,6 +131,28 @@ TEST(ObsEventTest, TimelineFieldsMapAbsentIdsToEmpty) {
   obs::write_timeline_jsonl(jsonl, std::vector<obs::TraceEvent>{event});
   EXPECT_EQ(jsonl.str(),
             "{\"time_s\":2.000000000,\"kind\":\"suspend\",\"job\":4,\"epoch\":6}\n");
+
+  // A tenant's study label fills the study column and key.
+  event.study = "alpha";
+  EXPECT_EQ(obs::timeline_fields(event)[2], "alpha");
+  std::ostringstream labelled_csv;
+  obs::write_timeline_csv(labelled_csv, std::vector<obs::TraceEvent>{event});
+  EXPECT_EQ(labelled_csv.str(),
+            "time_s,kind,study,job,machine,epoch,detail\n"
+            "2.000000000,suspend,alpha,4,,6,\n");
+  std::ostringstream labelled_jsonl;
+  obs::write_timeline_jsonl(labelled_jsonl, std::vector<obs::TraceEvent>{event});
+  EXPECT_EQ(labelled_jsonl.str(),
+            "{\"time_s\":2.000000000,\"kind\":\"suspend\",\"study\":\"alpha\",\"job\":4,"
+            "\"epoch\":6}\n");
+
+  // The golden-trace tests' row is the exported row, quoting included.
+  event.detail = "slow, \"quoted\"";
+  std::ostringstream quoted;
+  obs::write_timeline_csv(quoted, std::vector<obs::TraceEvent>{event});
+  EXPECT_EQ(timeline_row(event), "2.000000000,suspend,alpha,4,,6,\"slow, \"\"quoted\"\"\"");
+  EXPECT_EQ(quoted.str(),
+            "time_s,kind,study,job,machine,epoch,detail\n" + timeline_row(event) + "\n");
 }
 
 // ------------------------------------------------------------ golden traces --
@@ -314,26 +302,6 @@ TEST(ObsSweepTimelineTest, CaptureWithCustomRunExecutorThrows) {
   spec.capture_events = true;
   spec.run = [](const core::SweepCell&) { return core::ExperimentResult{}; };
   EXPECT_THROW((void)core::run_sweep(spec, 1), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- log bridge --
-
-TEST(ObsLogBridgeTest, CapturedLogLinesBecomeEvents) {
-  obs::RecordingSink sink;
-  obs::MetricsRegistry registry;
-  const auto saved = util::log_level();
-  util::set_log_level(util::LogLevel::Info);
-  {
-    obs::LogCapture capture(obs::Scope{&sink, &registry});
-    util::log_info("obs_test", "hello ", 42);
-    util::log_debug("obs_test", "below the level — dropped");
-  }
-  util::set_log_level(saved);
-  util::log_info("obs_test_after", "not captured");  // guard released
-
-  ASSERT_EQ(sink.count(obs::EventKind::LogMessage), 1u);
-  EXPECT_EQ(sink.events[0].detail, "info obs_test: hello 42");
-  EXPECT_EQ(registry.counter("log.lines").value(), 1u);
 }
 
 }  // namespace

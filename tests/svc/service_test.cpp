@@ -5,7 +5,9 @@
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -133,6 +135,63 @@ TEST(SvcServiceTest, BadSpecIsRejectedWithParserMessage) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     ADD_FAILURE() << "journaled: " << entry.path();
   }
+}
+
+/// Lowers this process's soft RLIMIT_FSIZE to `bytes` with SIGXFSZ ignored,
+/// so a write past the limit fails with EFBIG instead of killing the test;
+/// restores both on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) : handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit limited = saved_;
+    limited.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int);
+};
+
+TEST(SvcServiceTest, JournalWriteFailureRejectsTheSubmission) {
+  // A submission the journal cannot hold whole is never acknowledged: a
+  // restart would re-parse a torn spec.study (or drop it) behind the back of
+  // a tenant who heard Submitted.
+  const auto dir = fresh_dir("svc_service_journal_fail");
+  const ServiceOptions sopts = small_service(dir.string());
+  SubmitOutcome out;
+  {
+    StudyService service(sopts);
+    {
+      const FileSizeLimit limit(16);  // below the spec's 57 bytes
+      out = service.submit("alice", kSpecAlpha);
+    }
+    EXPECT_FALSE(out.accepted);
+    EXPECT_EQ(out.reason.rfind("journal-failed: ", 0), 0u) << out.reason;
+    EXPECT_FALSE(std::filesystem::exists(dir / ("sub-" + std::to_string(out.id)) /
+                                         "spec.study"));
+    const auto info = service.status(out.id);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->state, StudyState::Failed);
+    EXPECT_EQ(info->detail, out.reason);
+    // The admission was undone: nothing runs, and the next submission does.
+    EXPECT_EQ(service.running_count(), 0u);
+    EXPECT_EQ(service.retained_workers(), 0u);
+    ASSERT_TRUE(service.submit("alice", kSpecAlpha).accepted);
+    service.wait_idle();
+  }
+  StudyService reborn(sopts);
+  EXPECT_FALSE(reborn.status(out.id).has_value());
+  const auto accepted = reborn.status(out.id + 1);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(accepted->state, StudyState::Finished);
 }
 
 TEST(SvcServiceTest, QueueCancelAndQuotaReasonsEndToEnd) {

@@ -16,11 +16,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "svc/client.hpp"
+#include "util/cli_options.hpp"
 
 using namespace hyperdrive;
 
@@ -73,10 +75,12 @@ bool write_output(const std::string& out_file, const std::string& bytes) {
   return true;
 }
 
-bool parse_id(const char* text, std::uint64_t& id) {
-  char* end = nullptr;
-  id = std::strtoull(text, &end, 10);
-  return end != nullptr && *end == '\0' && end != text;
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
+/// A strict decimal in [lo, hi] (cli::Options::parse_uint: digits only).
+bool parse_in_range(const std::string& text, std::uint64_t lo, std::uint64_t hi,
+                    std::uint64_t& out) {
+  return cli::Options::parse_uint(text, out) && out >= lo && out <= hi;
 }
 
 bool terminal(svc::StudyState s) {
@@ -106,19 +110,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto need_number = [&](const char* flag, std::uint64_t lo, std::uint64_t hi) {
+      const std::string text = need(flag);
+      std::uint64_t value = 0;
+      if (!parse_in_range(text, lo, hi, value)) {
+        std::fprintf(stderr, "bad value for %s: '%s' (want %llu..%llu)\n", flag, text.c_str(),
+                     static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi));
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
     } else if (arg == "--host") {
       copts.host = need("--host");
     } else if (arg == "--port") {
-      copts.port = static_cast<std::uint16_t>(std::strtoul(need("--port"), nullptr, 10));
+      copts.port = static_cast<std::uint16_t>(need_number("--port", 1, 65535));
     } else if (arg == "--port-file") {
       port_file = need("--port-file");
     } else if (arg == "--timeout") {
-      copts.io_timeout_ms = std::atoi(need("--timeout"));
+      copts.io_timeout_ms = static_cast<int>(need_number("--timeout", 0, kIntMax));
     } else if (arg == "--retries") {
-      copts.retries = std::atoi(need("--retries"));
+      copts.retries = static_cast<int>(need_number("--retries", 0, kIntMax));
     } else {
       break;  // first non-flag token is the command
     }
@@ -193,7 +207,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::uint64_t id = 0;
-      if (!parse_id(rest[0].c_str(), id)) {
+      if (!cli::Options::parse_uint(rest[0], id)) {
         std::fprintf(stderr, "bad id '%s'\n", rest[0].c_str());
         return 2;
       }
@@ -257,11 +271,16 @@ int main(int argc, char** argv) {
       int watch_timeout_s = 300;
       for (std::size_t k = 0; k < rest.size(); ++k) {
         if (rest[k] == "--watch-timeout" && k + 1 < rest.size()) {
-          watch_timeout_s = std::atoi(rest[++k].c_str());
+          std::uint64_t seconds = 0;
+          if (!parse_in_range(rest[++k], 0, kIntMax / 1000, seconds)) {
+            std::fprintf(stderr, "bad --watch-timeout '%s'\n", rest[k].c_str());
+            return 2;
+          }
+          watch_timeout_s = static_cast<int>(seconds);
           continue;
         }
         std::uint64_t id = 0;
-        if (!parse_id(rest[k].c_str(), id)) {
+        if (!cli::Options::parse_uint(rest[k], id)) {
           std::fprintf(stderr, "bad id '%s'\n", rest[k].c_str());
           return 2;
         }

@@ -8,7 +8,6 @@
 #include "core/policy_registry.hpp"
 #include "core/sweep_engine.hpp"
 #include "util/cli_options.hpp"
-#include "util/log.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/lunar_model.hpp"
 #include "workload/trace_tools.hpp"
@@ -74,7 +73,6 @@ void sweep(const workload::WorkloadModel& model, const ToolConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::init_log_level_from_env();  // HD_LOG; --log-level overrides
   ToolConfig config;
   cli::Options options("trace_sweep",
                        "per-trace policy comparison across base-trace draws");
@@ -96,12 +94,6 @@ int main(int argc, char** argv) {
               [&config](const std::string& name) {
                 if (!core::PolicyRegistry::instance().has(name)) return false;
                 config.policies.push_back(name);
-                return true;
-              });
-  options.add("--log-level", "LEVEL",
-              "debug|info|warn|error|off (overrides HD_LOG)  [warn]",
-              [](const std::string& level) {
-                util::set_log_level(util::log_level_from_string(level));
                 return true;
               });
   if (!options.parse(argc, argv)) return 2;
