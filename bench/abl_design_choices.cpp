@@ -70,25 +70,17 @@ int main(int argc, char** argv) {
   for (const auto& v : variants) variant_labels.push_back(v.label);
   const auto variant_ax = spec.add_axis("variant", variant_labels);
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::suitable_trace(model, 100, 1500 + cell.at(repeat_ax) * 41, 25);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return std::make_unique<core::PopPolicy>(
-        variants[cell.at(variant_ax)].make_config(cell.at(repeat_ax)));
-  };
-  spec.options = [&](const core::SweepCell&) {
+  spec.extra_columns = {"predictions"};
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::suitable_trace(model, 100, 1500 + cell.at(repeat_ax) * 41, 25);
+    core::PopPolicy policy(variants[cell.at(variant_ax)].make_config(cell.at(repeat_ax)));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 4;
     options.max_experiment_time = util::SimTime::hours(200);
-    return options;
-  };
-  spec.extra_columns = {"predictions"};
-  spec.collect = [](const core::SweepCell&, const core::SchedulingPolicy& policy,
-                    const core::ExperimentResult&) {
-    const auto& pop = dynamic_cast<const core::PopPolicy&>(policy);
-    return std::vector<double>{static_cast<double>(pop.predictions_made())};
+    core::SweepRow row = core::run_experiment(trace, policy, options);
+    row.extra = {static_cast<double>(policy.predictions_made())};
+    return row;
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

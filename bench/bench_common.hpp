@@ -1,8 +1,10 @@
 // Shared helpers for the figure-reproduction benches. Each bench binary
 // regenerates the data behind one figure/table of the paper and prints it as
 // labelled text series (the repository's equivalent of the plots). Every
-// repeated experiment grid runs through the SweepEngine (src/core), and every
-// bench parses one cli::Options flag table:
+// repeated experiment grid is a core::SweepSpec whose `run` closure builds a
+// cell's trace, policy and RunnerOptions and calls core::run_experiment; it
+// runs through core::run_sweep (src/core). Every bench parses one
+// cli::Options flag table:
 //   --jobs N      sweep worker threads (default: hardware concurrency)
 //   --csv PATH    write the SweepTable as CSV (EXPERIMENTS.md schema)
 //   --out PATH    perf benches: where the BENCH_*.json record goes

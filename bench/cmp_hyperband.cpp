@@ -54,18 +54,14 @@ int main(int argc, char** argv) {
   for (const auto& v : variants) variant_labels.push_back(v.label);
   const auto variant_ax = spec.add_axis("variant", variant_labels);
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::suitable_trace(model, 100, 2600 + cell.at(repeat_ax) * 43, 25);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return variants[cell.at(variant_ax)].make(cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell&) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::suitable_trace(model, 100, 2600 + cell.at(repeat_ax) * 43, 25);
+    const auto policy = variants[cell.at(variant_ax)].make(cell.at(repeat_ax));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 4;
     options.max_experiment_time = util::SimTime::hours(200);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -28,13 +28,10 @@ int main(int argc, char** argv) {
   spec.name = "cmp_schedulers";
   const auto policy_ax = spec.add_policy_axis(policies);
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(10));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::renoise(*model, base, 0xF167 ^ cell.at(repeat_ax));
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(policies[cell.at(policy_ax)], cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::renoise(*model, base, 0xF167 ^ cell.at(repeat_ax));
+    const auto policy =
+        core::make_standard_policy(policies[cell.at(policy_ax)], cell.at(repeat_ax));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 4;
@@ -44,7 +41,7 @@ int main(int argc, char** argv) {
     // (only clone_job consults it), so the shared hook keeps their event
     // streams byte-identical to a run without it.
     options.explore = core::make_model_explore(model);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -50,15 +50,14 @@ int main(int argc, char** argv) {
   for (const auto& s : scenarios) scenario_labels.push_back(s.label);
   const auto scenario_ax = spec.add_axis("scenario", scenario_labels);
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::suitable_trace(model, 100, 4700 + cell.at(repeat_ax) * 31, kMachines * 2);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy("pop", cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  // duplicate_stats_ignored is not a standard SweepTable CSV column, so it
+  // rides along as an extra metric.
+  spec.extra_columns = {"dup_stats"};
+  spec.run = [&](const core::SweepCell& cell) {
     const Scenario& s = scenarios[cell.at(scenario_ax)];
     const std::uint64_t r = cell.at(repeat_ax);
+    const auto trace = bench::suitable_trace(model, 100, 4700 + r * 31, kMachines * 2);
+    const auto policy = core::make_standard_policy("pop", r);
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
     options.machines = kMachines;
@@ -76,15 +75,9 @@ int main(int argc, char** argv) {
       if (s.restart) crash.restart_after = util::SimTime::minutes(30);
       options.fault_plan.crashes.push_back(crash);
     }
-    return options;
-  };
-  // duplicate_stats_ignored is not a standard SweepTable CSV column, so it
-  // rides along as an extra metric.
-  spec.extra_columns = {"dup_stats"};
-  spec.collect = [](const core::SweepCell&, const core::SchedulingPolicy&,
-                    const core::ExperimentResult& result) {
-    return std::vector<double>{
-        static_cast<double>(result.recovery.duplicate_stats_ignored)};
+    core::SweepRow row = core::run_experiment(trace, *policy, options);
+    row.extra = {static_cast<double>(row.result.recovery.duplicate_stats_ignored)};
+    return row;
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   // model-owner sparsity rule.
   const auto mode_ax = spec.add_axis("mode", {"plain", "guided"});
   const auto repeat_ax = spec.add_repeat_axis(repeats);
-  spec.trace = [&](const core::SweepCell& cell) { return traces[cell.at(repeat_ax)]; };
-  spec.policy = [&](const core::SweepCell& cell) {
+  spec.extra_columns = {"predictions"};
+  spec.run = [&](const core::SweepCell& cell) {
     core::PopConfig config;
     config.tmax = util::SimTime::hours(96);
     config.predictor = core::make_default_predictor(cell.at(repeat_ax));
@@ -87,21 +87,15 @@ int main(int argc, char** argv) {
         return std::nullopt;
       };
     }
-    return std::make_unique<core::PopPolicy>(config);
-  };
-  spec.options = [&](const core::SweepCell&) {
+    core::PopPolicy policy(config);
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 8;
     options.max_experiment_time = util::SimTime::hours(96);
     options.stop_criterion = combined_goal;
-    return options;
-  };
-  spec.extra_columns = {"predictions"};
-  spec.collect = [](const core::SweepCell&, const core::SchedulingPolicy& policy,
-                    const core::ExperimentResult&) {
-    const auto& pop = dynamic_cast<const core::PopPolicy&>(policy);
-    return std::vector<double>{static_cast<double>(pop.predictions_made())};
+    core::SweepRow row = core::run_experiment(traces[cell.at(repeat_ax)], policy, options);
+    row.extra = {static_cast<double>(policy.predictions_made())};
+    return row;
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

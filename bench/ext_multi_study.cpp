@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   spec.name = "ext_multi_study";
   const auto mode_ax = spec.add_axis("arbitration", {"static", "fair", "deadline"});
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(20));
-  // One multi-study run per cell via the SweepEngine's custom-run hook; the
+  // One multi-study run per cell through the spec's run closure; the
   // per-study outcomes land in a pre-sized slot keyed by the cell's linear
   // index, so the parallel sweep stays deterministic.
   std::vector<core::MultiStudyResult> outcomes(spec.cells());

@@ -28,13 +28,9 @@ int main(int argc, char** argv) {
   spec.name = "ext_overlap_prediction";
   const auto mode_ax = spec.add_axis("mode", {"free", "overlapped", "blocking"});
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::suitable_trace(model, 100, 2800 + cell.at(repeat_ax) * 53, 8);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy("pop", cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::suitable_trace(model, 100, 2800 + cell.at(repeat_ax) * 53, 8);
+    const auto policy = core::make_standard_policy("pop", cell.at(repeat_ax));
     const std::size_t mode = cell.at(mode_ax);
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
@@ -43,7 +39,7 @@ int main(int argc, char** argv) {
     options.seed = cell.at(repeat_ax);
     if (mode > 0) options.decision_latency = prediction_cost;
     options.overlap_decisions = mode != 2;
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -36,19 +36,15 @@ int main(int argc, char** argv) {
   spec.name = "ext_scale_imagenet";
   const auto policy_ax = spec.add_policy_axis(bench::all_policies());
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(3));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::reachable_trace(model, 64, 3100 + cell.at(repeat_ax) * 71);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell&) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::reachable_trace(model, 64, 3100 + cell.at(repeat_ax) * 71);
+    const auto policy = core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                                   cell.at(repeat_ax));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 62;
     options.max_experiment_time = util::SimTime::hours(24 * 365);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

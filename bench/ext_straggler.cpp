@@ -55,18 +55,14 @@ int main(int argc, char** argv) {
   const auto scenario_ax = spec.add_axis("scenario", scenario_labels);
   const auto mitigate_ax = spec.add_axis("mitigate", {"off", "on"});
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::suitable_trace(model, 100, 6200 + cell.at(repeat_ax) * 31, kMachines * 2);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const Scenario& s = scenarios[cell.at(scenario_ax)];
+    const std::uint64_t r = cell.at(repeat_ax);
+    const auto trace = bench::suitable_trace(model, 100, 6200 + r * 31, kMachines * 2);
     // A budget with little slack over the fault-free time-to-target: this
     // is where slow-host-inflated epoch estimates turn into budget-driven
     // wrong kills unless the POP horizon is speed-normalized.
-    return core::make_standard_policy("pop", cell.at(repeat_ax), util::SimTime::hours(4));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
-    const Scenario& s = scenarios[cell.at(scenario_ax)];
-    const std::uint64_t r = cell.at(repeat_ax);
+    const auto policy = core::make_standard_policy("pop", r, util::SimTime::hours(4));
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
     options.machines = kMachines;
@@ -80,7 +76,7 @@ int main(int argc, char** argv) {
       options.fault_plan.slowdowns.push_back(slow);
     }
     options.health.enabled = cell.at(mitigate_ax) == 1;
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

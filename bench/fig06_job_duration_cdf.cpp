@@ -16,20 +16,16 @@ int main(int argc, char** argv) {
   spec.name = "fig06_job_duration_cdf";
   const auto policy_ax = spec.add_policy_axis(bench::evaluated_policies());
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::reachable_trace(model, 100, 600 + cell.at(repeat_ax) * 13);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::evaluated_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::reachable_trace(model, 100, 600 + cell.at(repeat_ax) * 13);
+    const auto policy = core::make_standard_policy(
+        bench::evaluated_policies()[cell.at(policy_ax)], cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 4;
     options.substrate = core::Substrate::Cluster;
     options.seed = cell.at(repeat_ax);
     options.max_experiment_time = util::SimTime::hours(48);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

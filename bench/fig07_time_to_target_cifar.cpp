@@ -21,21 +21,17 @@ int main(int argc, char** argv) {
   spec.name = "fig07_time_to_target_cifar";
   const auto policy_ax = spec.add_policy_axis(bench::all_policies());
   const auto repeat_ax = spec.add_repeat_axis(repeats);
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::renoise(model, base, 0xF167 ^ cell.at(repeat_ax));
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::renoise(model, base, 0xF167 ^ cell.at(repeat_ax));
+    const auto policy = core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                                   cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 4;
     options.substrate = core::Substrate::Cluster;
     options.overheads = cluster::cifar_overhead_model();
     options.seed = cell.at(repeat_ax);
     options.max_experiment_time = util::SimTime::hours(96);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -19,21 +19,17 @@ int main(int argc, char** argv) {
   spec.name = "fig09_time_to_target_lunar";
   const auto policy_ax = spec.add_policy_axis(bench::evaluated_policies());
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::renoise(model, base, 0xF169 ^ cell.at(repeat_ax));
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::evaluated_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::renoise(model, base, 0xF169 ^ cell.at(repeat_ax));
+    const auto policy = core::make_standard_policy(
+        bench::evaluated_policies()[cell.at(policy_ax)], cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 15;
     options.substrate = core::Substrate::Cluster;
     options.overheads = cluster::lunar_criu_overhead_model();
     options.seed = cell.at(repeat_ax);
     options.max_experiment_time = util::SimTime::hours(96);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

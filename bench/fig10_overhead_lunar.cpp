@@ -15,20 +15,16 @@ int main(int argc, char** argv) {
   core::SweepSpec spec;
   spec.name = "fig10_overhead_lunar";
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::reachable_trace(model, 100, 1000 + cell.at(repeat_ax) * 29);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy("pop", cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::reachable_trace(model, 100, 1000 + cell.at(repeat_ax) * 29);
+    const auto policy = core::make_standard_policy("pop", cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 15;
     options.substrate = core::Substrate::Cluster;
     options.overheads = cluster::lunar_criu_overhead_model();
     options.seed = cell.at(repeat_ax);
     options.max_experiment_time = util::SimTime::hours(96);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

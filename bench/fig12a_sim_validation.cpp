@@ -20,14 +20,10 @@ int main(int argc, char** argv) {
   const auto policy_ax = spec.add_policy_axis(bench::evaluated_policies());
   const auto substrate_ax = spec.add_axis("substrate", {"live", "sim"});
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::reachable_trace(model, 100, 1100 + cell.at(repeat_ax) * 31);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::evaluated_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::reachable_trace(model, 100, 1100 + cell.at(repeat_ax) * 31);
+    const auto policy = core::make_standard_policy(
+        bench::evaluated_policies()[cell.at(policy_ax)], cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 15;
     options.max_experiment_time = util::SimTime::hours(96);
@@ -38,7 +34,7 @@ int main(int argc, char** argv) {
     } else {
       options.substrate = core::Substrate::TraceReplay;
     }
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

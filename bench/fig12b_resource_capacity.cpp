@@ -20,21 +20,17 @@ int main(int argc, char** argv) {
   const auto machines_ax = spec.add_axis("machines", capacity_labels);
   const auto policy_ax = spec.add_policy_axis(bench::all_policies());
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(5));
-  spec.trace = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
     // Winner outside the first wave at every tested capacity, so the
     // policies' scanning efficiency (not first-batch luck) is measured.
-    return bench::suitable_trace(model, 100, 1200 + cell.at(repeat_ax) * 37, 25);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+    const auto trace = bench::suitable_trace(model, 100, 1200 + cell.at(repeat_ax) * 37, 25);
+    const auto policy = core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                                   cell.at(repeat_ax));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = capacities[cell.at(machines_ax)];
     options.max_experiment_time = util::SimTime::hours(200);
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

@@ -25,17 +25,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> order_labels;
   for (std::size_t i = 0; i < orders.size(); ++i) order_labels.push_back(std::to_string(i));
   const auto order_ax = spec.add_axis("order", order_labels);
-  spec.trace = [&](const core::SweepCell& cell) { return orders[cell.at(order_ax)]; };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
-                                      cell.at(order_ax));
-  };
-  spec.options = [&](const core::SweepCell&) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto policy = core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                                   cell.at(order_ax));
     core::RunnerOptions options;
     options.substrate = core::Substrate::TraceReplay;
     options.machines = 5;
     options.max_experiment_time = util::SimTime::hours(200);
-    return options;
+    return core::run_experiment(orders[cell.at(order_ax)], *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

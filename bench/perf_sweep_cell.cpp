@@ -23,21 +23,17 @@ int main(int argc, char** argv) {
   spec.name = "perf_sweep_cell";
   const auto policy_ax = spec.add_policy_axis(bench::all_policies());
   const auto repeat_ax = spec.add_repeat_axis(repeats);
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::renoise(model, base, 0xF167 ^ cell.at(repeat_ax));
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
-                                      cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::renoise(model, base, 0xF167 ^ cell.at(repeat_ax));
+    const auto policy = core::make_standard_policy(bench::all_policies()[cell.at(policy_ax)],
+                                                   cell.at(repeat_ax));
     core::RunnerOptions runner;
     runner.machines = 4;
     runner.substrate = core::Substrate::Cluster;
     runner.overheads = cluster::cifar_overhead_model();
     runner.seed = cell.at(repeat_ax);
     runner.max_experiment_time = util::SimTime::hours(96);
-    return runner;
+    return core::run_experiment(trace, *policy, runner);
   };
 
   const std::size_t cells = spec.cells();

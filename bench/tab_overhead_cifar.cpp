@@ -18,20 +18,16 @@ int main(int argc, char** argv) {
   // free suspends, to quantify the end-to-end cost.
   const auto overheads_ax = spec.add_axis("overheads", {"real", "zero"});
   const auto repeat_ax = spec.add_repeat_axis(bench_options.repeats(10));
-  spec.trace = [&](const core::SweepCell& cell) {
-    return bench::reachable_trace(model, 100, 800 + cell.at(repeat_ax) * 19);
-  };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy("pop", cell.at(repeat_ax));
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto trace = bench::reachable_trace(model, 100, 800 + cell.at(repeat_ax) * 19);
+    const auto policy = core::make_standard_policy("pop", cell.at(repeat_ax));
     core::RunnerOptions options;
     options.machines = 4;
     options.substrate = core::Substrate::Cluster;
     options.seed = cell.at(repeat_ax);
     options.max_experiment_time = util::SimTime::hours(96);
     if (cell.at(overheads_ax) == 1) options.overheads = cluster::zero_overhead_model();
-    return options;
+    return core::run_experiment(trace, *policy, options);
   };
 
   const auto table = bench::run_bench_sweep(spec, bench_options);

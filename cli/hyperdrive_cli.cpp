@@ -422,30 +422,23 @@ int main(int argc, char** argv) {
   if (!config.metrics_out.empty()) cluster::preregister_cluster_metrics(registry);
 
   // Every repeat is an independent sweep cell (fresh noise, fresh policy),
-  // executed by the SweepEngine — in parallel under --jobs, with results
+  // run by core::run_sweep — in parallel under --jobs, with results
   // identical to the serial run (DESIGN.md §8).
   const std::uint64_t seed = config.study.seed;
   core::SweepSpec spec;
   spec.name = "hyperdrive_cli";
   spec.base_seed = seed;
-  spec.capture_events = !config.trace_out.empty();
   const auto repeat_ax = spec.add_repeat_axis(config.repeats);
-  spec.trace = [&](const core::SweepCell& cell) {
+  spec.run = [&](const core::SweepCell& cell) {
     const std::uint64_t r = cell.at(repeat_ax);
     workload::Trace trace = base;
     if (r > 0) {
       for (auto& job : trace.jobs) job.curve = study.model->realize(job.config, seed ^ r);
     }
-    return trace;
-  };
-  // --barrier wraps whatever the registry built, so it composes with every
-  // registered policy (DESIGN.md §13).
-  spec.policy = [&](const core::SweepCell& cell) -> std::unique_ptr<core::SchedulingPolicy> {
-    auto policy = study.make_policy(seed ^ cell.at(repeat_ax));
-    if (config.barrier) return std::make_unique<core::BarrierPolicy>(std::move(policy));
-    return policy;
-  };
-  spec.options = [&](const core::SweepCell& cell) {
+    // --barrier wraps whatever the registry built, so it composes with every
+    // registered policy (DESIGN.md §13).
+    std::unique_ptr<core::SchedulingPolicy> policy = study.make_policy(seed ^ r);
+    if (config.barrier) policy = std::make_unique<core::BarrierPolicy>(std::move(policy));
     core::RunnerOptions ropts;
     ropts.substrate = config.substrate == "cluster" ? core::Substrate::Cluster
                                                     : core::Substrate::TraceReplay;
@@ -453,7 +446,7 @@ int main(int argc, char** argv) {
     ropts.catalog = config.catalog;
     ropts.max_experiment_time = config.study.tmax;
     ropts.stop_on_target = config.stop_on_target;
-    ropts.seed = seed ^ cell.at(repeat_ax);
+    ropts.seed = seed ^ r;
     ropts.overheads = study.overheads;
     ropts.fault_plan = config.fault_plan;
     ropts.health.enabled = config.health;
@@ -462,7 +455,13 @@ int main(int argc, char** argv) {
     // clone stream, not the cell, so it stays byte-invisible to every
     // non-cloning policy.
     ropts.explore = study.explore;
-    return ropts;
+    // Cell-local sink: the events land in the row's slot, so the merged
+    // timeline is byte-identical across thread counts.
+    obs::RecordingSink sink;
+    if (!config.trace_out.empty()) ropts.obs.sink = &sink;
+    core::SweepRow row = core::run_experiment(trace, *policy, ropts);
+    row.events = std::move(sink.events);
+    return row;
   };
 
   const auto table = core::run_sweep(spec, config.jobs);

@@ -5,8 +5,7 @@
 namespace hyperdrive::core {
 
 std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptions& options,
-                                                            std::uint64_t seed,
-                                                            obs::Scope scope) {
+                                                            std::uint64_t seed) {
   curve::PredictorConfig config = options.config;
   config.seed = seed;
   std::shared_ptr<const curve::CurvePredictor> inner;
@@ -23,14 +22,13 @@ std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptio
   }
   // Memoize: policies re-consult the posterior for the same (history,
   // horizon) within a boundary round (§5.2 node-agent-side caching).
-  return curve::with_cache_options(std::move(inner), options.cache, std::move(scope));
+  return std::make_shared<curve::CachingPredictor>(std::move(inner), options.cache);
 }
 
-std::shared_ptr<const curve::CurvePredictor> make_default_predictor(std::uint64_t seed,
-                                                                    obs::Scope scope) {
+std::shared_ptr<const curve::CurvePredictor> make_default_predictor(std::uint64_t seed) {
   PredictorOptions options;
   options.config.lsq_samples = 200;
-  return make_predictor(options, seed, std::move(scope));
+  return make_predictor(options, seed);
 }
 
 ExperimentResult run_experiment(const workload::Trace& trace, SchedulingPolicy& policy,

@@ -35,15 +35,14 @@ struct PredictorOptions {
 
 /// Build a cached predictor per `options`.
 [[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_predictor(
-    const PredictorOptions& options, std::uint64_t seed, obs::Scope scope = {});
+    const PredictorOptions& options, std::uint64_t seed);
 
 /// The fast LSQ-bootstrap predictor configuration used by the simulation
 /// benches (the full-MCMC predictor is available via curve::make_mcmc_predictor
-/// and is exercised by the predictor micro-bench, §5.2). Pass a scope to
-/// observe fit/cache-hit activity (untimed events + predictor.* counters).
-/// Equivalent to make_predictor with default PredictorOptions.
+/// and is exercised by the predictor micro-bench, §5.2). Equivalent to
+/// make_predictor with default PredictorOptions.
 [[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_default_predictor(
-    std::uint64_t seed, obs::Scope scope = {});
+    std::uint64_t seed);
 
 /// Which substrate executes the experiment.
 enum class Substrate {

@@ -143,11 +143,10 @@ bool PopPolicy::classify_and_label(SchedulerOps& ops, JobId job) {
   // Static-threshold ablation (§2.2c): promising = everyone above the fixed
   // p_thred, regardless of available slots.
   if (!std::isnan(config_.static_threshold)) {
-    const std::set<JobId> previous = std::exchange(promising_, {});
+    promising_.clear();
     for (const auto& [p, id] : confident) {
       if (p >= config_.static_threshold) promising_.insert(id);
     }
-    note_promotions(ops, previous);
     for (const JobId id : active) {
       ops.label_job(id, promising_.count(id) > 0 ? beliefs_[id].confidence : 0.0);
     }
@@ -190,11 +189,10 @@ bool PopPolicy::classify_and_label(SchedulerOps& ops, JobId job) {
         static_cast<std::size_t>(std::llround(best_eff / config_.slots_per_job)));
   }
 
-  const std::set<JobId> previous = std::exchange(promising_, {});
+  promising_.clear();
   for (std::size_t i = 0; i < n_promising && i < confident.size(); ++i) {
     promising_.insert(confident[i].second);
   }
-  note_promotions(ops, previous);
 
   // labelJob: promising jobs carry their confidence as priority so the Job
   // Manager resumes them first; everything else rejoins the FIFO class.
@@ -208,20 +206,6 @@ bool PopPolicy::classify_and_label(SchedulerOps& ops, JobId job) {
   snapshots_.push_back(std::move(snapshot));
 
   return promising_.count(job) > 0;
-}
-
-void PopPolicy::note_promotions(SchedulerOps& ops, const std::set<JobId>& previous) {
-  if (config_.obs.sink == nullptr && config_.obs.metrics == nullptr) return;
-  for (const JobId id : promising_) {
-    if (previous.count(id) > 0) continue;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->counter("policy.promotions").add();
-    }
-    obs::TraceEvent event(obs::EventKind::PolicyPromote);
-    event.time = ops.now();
-    event.job = static_cast<std::int64_t>(id);
-    config_.obs.emit(event);
-  }
 }
 
 void PopPolicy::on_capacity_change(SchedulerOps& ops) {

@@ -44,7 +44,6 @@
 
 #include "core/policies/default_policy.hpp"
 #include "curve/predictor.hpp"
-#include "obs/scope.hpp"
 #include "util/sim_time.hpp"
 
 namespace hyperdrive::core {
@@ -98,10 +97,6 @@ struct PopConfig {
   /// y_target. 0 disables.
   double dynamic_target_increment = 0.0;
   std::shared_ptr<const curve::CurvePredictor> predictor;
-  /// Instrumentation handle (DESIGN.md §10): jobs entering the promising set
-  /// emit PolicyPromote events and bump policy.promotions. The policy never
-  /// writes the cluster's legacy event log, so golden traces are unaffected.
-  obs::Scope obs;
 };
 
 /// One classification round's bookkeeping, for Fig. 4 and the tests.
@@ -169,9 +164,6 @@ class PopPolicy final : public DefaultPolicy {
   /// Recompute p*, the promising set, and labels; returns whether `job` is
   /// in the promising set.
   bool classify_and_label(SchedulerOps& ops, JobId job);
-  /// Emit a PolicyPromote event for every job in promising_ that was not in
-  /// `previous` (no-op with a detached scope).
-  void note_promotions(SchedulerOps& ops, const std::set<JobId>& previous);
 
   PopConfig config_;
   double target_ = 0.0;

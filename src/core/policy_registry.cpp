@@ -138,7 +138,7 @@ namespace {
 /// per policy build.
 std::shared_ptr<const curve::CurvePredictor> context_predictor(const PolicyContext& ctx) {
   if (ctx.predictor) return ctx.predictor;
-  return make_default_predictor(ctx.seed, ctx.obs);
+  return make_default_predictor(ctx.seed);
 }
 
 std::unique_ptr<SchedulingPolicy> make_pop(const PolicyParams& p, const PolicyContext& ctx) {
@@ -158,7 +158,6 @@ std::unique_ptr<SchedulingPolicy> make_pop(const PolicyParams& p, const PolicyCo
   c.dynamic_target_increment =
       p.get_double("dynamic-target-increment", c.dynamic_target_increment);
   c.predictor = context_predictor(ctx);
-  c.obs = ctx.obs;
   return std::make_unique<PopPolicy>(std::move(c));
 }
 

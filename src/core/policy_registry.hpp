@@ -2,7 +2,7 @@
 //
 // Every SAP is registered under a stable name with a factory taking a typed
 // key=value parameter bag (PolicyParams) and the ambient construction inputs
-// (PolicyContext: seed, Tmax, obs scope, optional shared predictor). All
+// (PolicyContext: seed, Tmax, optional shared predictor). All
 // policy construction by name — CLI --policy, StudySpec policy lines, sweep
 // axes, bench comparisons, checkpoint resume — goes through this one table,
 // so help text, validation, and spec round-trips can never drift from the
@@ -23,7 +23,6 @@
 
 #include "core/sap.hpp"
 #include "curve/predictor.hpp"
-#include "obs/scope.hpp"
 #include "util/sim_time.hpp"
 
 namespace hyperdrive::core {
@@ -80,10 +79,8 @@ struct PolicyContext {
   std::uint64_t seed = 1;
   /// The user's maximum experiment time (POP's Tmax).
   util::SimTime tmax = util::SimTime::hours(48);
-  /// Instrumentation handle (byte-invisible; DESIGN.md §10).
-  obs::Scope obs;
   /// Predictor shared by predictor-backed policies; when unset, factories
-  /// build make_default_predictor(seed, obs) themselves.
+  /// build make_default_predictor(seed) themselves.
   std::shared_ptr<const curve::CurvePredictor> predictor;
 };
 

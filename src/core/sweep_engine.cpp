@@ -1,97 +1,48 @@
 #include "core/sweep_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
-#include "obs/sink.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hyperdrive::core {
 
-namespace {
-
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
-
-}  // namespace
-
-SweepEngine::SweepEngine(SweepEngineOptions options)
-    : threads_(resolve_threads(options.threads)) {}
-
-SweepTable SweepEngine::run(const SweepSpec& spec) const {
+SweepTable run_sweep(const SweepSpec& spec, std::size_t threads) {
   if (spec.axes.empty()) throw std::invalid_argument("SweepSpec has no axes");
-  if (spec.run) {
-    if (spec.collect) {
-      throw std::invalid_argument("SweepSpec.collect is not supported with SweepSpec.run");
-    }
-    if (spec.capture_events) {
-      throw std::invalid_argument(
-          "SweepSpec.capture_events is not supported with SweepSpec.run");
-    }
-  } else {
-    if (!spec.trace) throw std::invalid_argument("SweepSpec.trace is not set");
-    if (!spec.policy) throw std::invalid_argument("SweepSpec.policy is not set");
-  }
+  if (!spec.run) throw std::invalid_argument("SweepSpec.run is not set");
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
 
   SweepTable table;
   table.name = spec.name;
   table.axes = spec.axes;
   table.extra_columns = spec.extra_columns;
-  table.threads = threads_;
+  table.threads = threads;
   table.rows.resize(spec.cells());
 
-  // Each worker computes one cell from scratch — trace, policy, predictor
-  // are all cell-local, and the result lands in the cell's pre-allocated
-  // slot. No cross-cell state means completion order cannot leak into the
-  // table.
+  // Each worker computes one cell from scratch — trace, policy, predictor and
+  // any event sink are all cell-local, and the row lands in the cell's
+  // pre-allocated slot. No cross-cell state means completion order cannot
+  // leak into the table.
   const auto run_cell = [&](std::size_t i) {
-    SweepRow row;
-    row.cell = spec.cell(i);
-    if (spec.run) {
-      row.result = spec.run(row.cell);
-      table.rows[i] = std::move(row);
-      return;
+    SweepCell cell = spec.cell(i);
+    SweepRow row = spec.run(cell);
+    if (row.extra.size() != spec.extra_columns.size()) {
+      throw std::runtime_error("SweepSpec.run returned " + std::to_string(row.extra.size()) +
+                               " extra values for " +
+                               std::to_string(spec.extra_columns.size()) + " extra_columns");
     }
-    const auto trace = spec.trace(row.cell);
-    const auto policy = spec.policy(row.cell);
-    if (!policy) throw std::runtime_error("SweepSpec.policy returned null");
-    RunnerOptions options = spec.options ? spec.options(row.cell) : RunnerOptions{};
-    // Cell-local sink: each worker records into its own buffer, and the
-    // events land in the row's pre-allocated slot, so the merged timeline is
-    // byte-identical across thread counts.
-    obs::RecordingSink sink;
-    if (spec.capture_events) options.obs.sink = &sink;
-    row.result = run_experiment(trace, *policy, options);
-    if (spec.capture_events) row.events = std::move(sink.events);
-    if (spec.collect) {
-      row.extra = spec.collect(row.cell, *policy, row.result);
-      if (row.extra.size() != spec.extra_columns.size()) {
-        throw std::runtime_error("SweepSpec.collect returned " +
-                                 std::to_string(row.extra.size()) + " values for " +
-                                 std::to_string(spec.extra_columns.size()) +
-                                 " extra_columns");
-      }
-    }
+    row.cell = std::move(cell);
     table.rows[i] = std::move(row);
   };
 
   const auto start = std::chrono::steady_clock::now();
-  if (threads_ <= 1 || table.rows.size() <= 1) {
-    for (std::size_t i = 0; i < table.rows.size(); ++i) run_cell(i);
-  } else {
-    util::parallel_for(table.rows.size(), threads_, run_cell);
-  }
+  util::parallel_for(table.rows.size(), threads, run_cell);
   table.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return table;
-}
-
-SweepTable run_sweep(const SweepSpec& spec, std::size_t threads) {
-  return SweepEngine(SweepEngineOptions{threads}).run(spec);
 }
 
 }  // namespace hyperdrive::core

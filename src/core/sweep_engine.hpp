@@ -1,6 +1,6 @@
-// SweepEngine — executes a SweepSpec: every cell of the grid is an
-// independent experiment (own trace, own policy, own predictor), so cells
-// fan out on util::ThreadPool and the table is assembled slot-by-slot in
+// run_sweep — executes a SweepSpec: every cell of the grid is an independent
+// experiment (own trace, own policy, own predictor), so cells fan out on
+// util::parallel_for and the table is assembled slot-by-slot in
 // cell-enumeration order. Aggregation is therefore order-independent: the
 // table (and its CSV) is byte-identical whether the sweep ran on 1 thread
 // or 8 (the determinism contract of DESIGN.md §8, enforced by
@@ -14,27 +14,10 @@
 
 namespace hyperdrive::core {
 
-struct SweepEngineOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency() (>= 1).
-  std::size_t threads = 0;
-};
-
-class SweepEngine {
- public:
-  explicit SweepEngine(SweepEngineOptions options = {});
-
-  /// Run every cell of `spec` and collect the table. Throws
-  /// std::invalid_argument on an incomplete spec (no axes, missing trace or
-  /// policy callback); exceptions thrown by a cell propagate (first wins).
-  [[nodiscard]] SweepTable run(const SweepSpec& spec) const;
-
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
-
- private:
-  std::size_t threads_;
-};
-
-/// Convenience: run `spec` on `threads` workers (0 = hardware concurrency).
+/// Run every cell of `spec` on `threads` workers (0 = hardware concurrency)
+/// and collect the table. Throws std::invalid_argument on a spec without axes
+/// or `run`, and std::runtime_error when a row's extras do not match
+/// `extra_columns`; exceptions thrown by a cell propagate (first wins).
 [[nodiscard]] SweepTable run_sweep(const SweepSpec& spec, std::size_t threads = 0);
 
 }  // namespace hyperdrive::core

@@ -34,13 +34,6 @@ std::size_t SweepSpec::add_policy_axis(std::vector<std::string> names) {
   return add_axis("policy", std::move(names));
 }
 
-std::size_t SweepSpec::axis(const std::string& axis_name) const {
-  for (std::size_t i = 0; i < axes.size(); ++i) {
-    if (axes[i].name == axis_name) return i;
-  }
-  throw std::out_of_range("no sweep axis named '" + axis_name + "'");
-}
-
 std::size_t SweepSpec::cells() const noexcept {
   if (axes.empty()) return 0;
   std::size_t n = 1;
@@ -60,10 +53,6 @@ SweepCell SweepSpec::cell(std::size_t linear) const {
   }
   cell.seed = derive_cell_seed(base_seed, cell.index);
   return cell;
-}
-
-const std::string& SweepSpec::label(const SweepCell& cell, std::size_t axis) const {
-  return axes.at(axis).values.at(cell.at(axis));
 }
 
 }  // namespace hyperdrive::core

@@ -4,23 +4,23 @@
 // whole evaluation is such a grid (Figs. 6–12, the §6.2.3 table, the §8/§9
 // extensions); production HPO middleware (Tune, ExpoCloud — PAPERS.md)
 // treats this orchestration as a first-class layer, and so does this repo:
-// a SweepSpec is executed by the SweepEngine (sweep_engine.hpp), which fans
-// independent cells out on a thread pool and returns a typed SweepTable.
+// core::run_sweep (sweep_engine.hpp) calls the spec's one `run` executor per
+// cell, fans independent cells out on util::parallel_for and returns a typed
+// SweepTable.
 //
-// Determinism contract (DESIGN.md §8): every per-cell callback must be a
-// pure function of the SweepCell it receives (axis indices + derived seed).
-// Cells share nothing mutable, so a parallel sweep is byte-identical to a
-// serial one.
+// Determinism contract (DESIGN.md §8): `run` must be a pure function of the
+// SweepCell it receives (axis indices + derived seed). Cells share nothing
+// mutable, so a parallel sweep is byte-identical to a serial one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/experiment_runner.hpp"
-#include "workload/trace.hpp"
+#include "core/experiment_result.hpp"
+#include "obs/event.hpp"
 
 namespace hyperdrive::core {
 
@@ -46,6 +46,28 @@ struct SweepCell {
   [[nodiscard]] std::size_t at(std::size_t axis) const { return index.at(axis); }
 };
 
+/// What one cell's `run` returns: the experiment's result, plus the values
+/// of the spec's extra_columns and the cell's typed event stream when the
+/// cell records them. The engine stamps `cell`.
+struct SweepRow {
+  SweepRow() = default;
+  /// Not explicit: a cell with no extras or events returns its bare result.
+  SweepRow(ExperimentResult r) : result(std::move(r)) {}
+
+  SweepCell cell;
+  ExperimentResult result;
+  /// Values of SweepTable::extra_columns, in the same order.
+  std::vector<double> extra;
+  /// Typed event stream of this cell's run (DESIGN.md §10), e.g. from a
+  /// cell-local obs::RecordingSink.
+  std::vector<obs::TraceEvent> events;
+
+  /// Time-to-target in minutes, censored at the experiment end when the
+  /// target was never reached — the quantity Figs. 7/9/12 plot.
+  [[nodiscard]] double minutes_to_target() const;
+  [[nodiscard]] double hours_to_target() const { return minutes_to_target() / 60.0; }
+};
+
 /// Deterministic cell-seed derivation rule (DESIGN.md §8): fold each axis
 /// value index into the base seed with util::derive_seed, mixing in the axis
 /// ordinal so (i, j) and (j, i) land on different streams.
@@ -59,41 +81,14 @@ class SweepSpec {
   /// Root of the per-cell seed derivation.
   std::uint64_t base_seed = 1;
   std::vector<SweepAxis> axes;
-
-  /// Custom cell executor (multi-study runs, external substrates): when set,
-  /// the engine calls `run` for each cell instead of the trace/policy/options
-  /// path (those callbacks may then stay unset, and `collect` must be unset —
-  /// there is no policy instance to hand it). Same purity contract: the
-  /// result must be a function of the cell alone.
-  std::function<ExperimentResult(const SweepCell&)> run;
-
-  /// Build the ground-truth trace for a cell. Required unless `run` is set.
-  /// Must be a pure function of the cell (e.g. renoise(base, cell-derived
-  /// seed)).
-  std::function<workload::Trace(const SweepCell&)> trace;
-  /// Build a fresh policy instance for a cell. Required (policies are
-  /// stateful — never share one across cells).
-  std::function<std::unique_ptr<SchedulingPolicy>(const SweepCell&)> policy;
-  /// Runner options for a cell; defaults to RunnerOptions{} when unset.
-  std::function<RunnerOptions(const SweepCell&)> options;
-
-  /// Optional per-cell metrics beyond ExperimentResult (e.g. a policy's
-  /// prediction count): `collect` runs in the worker right after the cell's
-  /// experiment, and its values land in the row's `extra` (one per
-  /// `extra_columns` entry, same order).
+  /// Names of the per-cell values beyond ExperimentResult (e.g. a policy's
+  /// prediction count); every row's `extra` holds one value per entry.
   std::vector<std::string> extra_columns;
-  std::function<std::vector<double>(const SweepCell&, const SchedulingPolicy&,
-                                    const ExperimentResult&)>
-      collect;
 
-  /// Capture each cell's typed event stream (DESIGN.md §10): the engine
-  /// attaches a private obs::RecordingSink per cell (replacing any sink the
-  /// options callback set; its metrics registry and study label are kept)
-  /// and moves the events into SweepRow::events.
-  /// Rows land in cell order, so SweepTable::save_timeline_csv is
-  /// byte-identical across thread counts. Not supported with a custom `run`
-  /// executor (the engine never sees inside it).
-  bool capture_events = false;
+  /// The cell executor: build the cell's trace, a fresh policy (policies are
+  /// stateful — never share one across cells) and its options, run the
+  /// experiment and return the row. Runs on a worker thread.
+  std::function<SweepRow(const SweepCell&)> run;
 
   /// Append an axis; returns its index for SweepCell::at.
   std::size_t add_axis(std::string axis_name, std::vector<std::string> values);
@@ -101,18 +96,14 @@ class SweepSpec {
   std::size_t add_repeat_axis(std::size_t repeats);
   /// Axis "policy" over registry policy names (core::PolicyRegistry;
   /// DESIGN.md §13). The labels key the table/CSV and usually feed
-  /// core::make_standard_policy in the policy callback.
+  /// core::make_standard_policy in `run`.
   std::size_t add_policy_axis(std::vector<std::string> names);
 
-  /// Index of a named axis; throws std::out_of_range if absent.
-  [[nodiscard]] std::size_t axis(const std::string& axis_name) const;
   /// Total number of cells (product of axis sizes; 0 when any axis is empty).
   [[nodiscard]] std::size_t cells() const noexcept;
   /// Decode a linear index into a cell (row-major, first axis slowest) and
   /// derive its seed.
   [[nodiscard]] SweepCell cell(std::size_t linear) const;
-  /// The label of `cell`'s value on axis `axis`.
-  [[nodiscard]] const std::string& label(const SweepCell& cell, std::size_t axis) const;
 };
 
 }  // namespace hyperdrive::core

@@ -1,9 +1,9 @@
-// SweepTable — the typed result of executing a SweepSpec: one row per cell
-// (in cell-enumeration order, independent of which worker finished first),
-// each carrying the full ExperimentResult plus any spec-collected extras.
-// Provides the label-keyed selection the figure benches aggregate with
-// (select by axis value, never by positional index — see ISSUE 3 on the
-// fig07 means[1]/means[0] bug) and a stable CSV export (schema documented in
+// SweepTable — the typed result of core::run_sweep: one row per cell (in
+// cell-enumeration order, independent of which worker finished first), each
+// the SweepRow its cell's `run` returned: the full ExperimentResult plus any
+// extra-column values and recorded events. Provides the label-keyed selection
+// the figure benches aggregate with (select by axis value, never by
+// positional index) and a stable CSV export (schema documented in
 // EXPERIMENTS.md "Sweep CSV schema").
 #pragma once
 
@@ -12,25 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment_result.hpp"
 #include "core/sweep_spec.hpp"
-#include "obs/event.hpp"
 
 namespace hyperdrive::core {
-
-struct SweepRow {
-  SweepCell cell;
-  ExperimentResult result;
-  /// Values of SweepTable::extra_columns, collected in the worker.
-  std::vector<double> extra;
-  /// Typed event stream of this cell's run (SweepSpec::capture_events only).
-  std::vector<obs::TraceEvent> events;
-
-  /// Time-to-target in minutes, censored at the experiment end when the
-  /// target was never reached — the quantity Figs. 7/9/12 plot.
-  [[nodiscard]] double minutes_to_target() const;
-  [[nodiscard]] double hours_to_target() const { return minutes_to_target() / 60.0; }
-};
 
 class SweepTable {
  public:
@@ -70,7 +54,7 @@ class SweepTable {
   /// save_csv to `path`; throws std::runtime_error if unwritable.
   void save_csv_file(const std::string& path) const;
 
-  /// Write every captured event stream as one timeline CSV (EXPERIMENTS.md
+  /// Write every row's event stream as one timeline CSV (EXPERIMENTS.md
   /// "Timeline CSV schema"): cell + axis-label columns prefixed onto the
   /// obs::timeline_columns fields, rows in cell-enumeration order then event
   /// order. Byte-deterministic across thread counts (rows land in cell

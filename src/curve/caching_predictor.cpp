@@ -10,16 +10,8 @@ using util::hash_doubles;
 using util::kFnvBasis;
 
 CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
-                                   std::size_t capacity)
-    : CachingPredictor(std::move(inner), CachingOptions{capacity}, obs::Scope{}) {}
-
-CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
-                                   std::size_t capacity, obs::Scope scope)
-    : CachingPredictor(std::move(inner), CachingOptions{capacity}, std::move(scope)) {}
-
-CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
-                                   CachingOptions options, obs::Scope scope)
-    : inner_(std::move(inner)), options_(options), obs_(std::move(scope)) {
+                                   CachingOptions options)
+    : inner_(std::move(inner)), options_(options) {
   if (!inner_) throw std::invalid_argument("CachingPredictor needs an inner predictor");
   if (options_.capacity == 0) throw std::invalid_argument("cache capacity must be >= 1");
   if (options_.warm_start && options_.warm_capacity == 0) {
@@ -44,15 +36,10 @@ CurvePrediction CachingPredictor::predict(std::span<const double> history,
     if (it != cache_.end()) {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second);  // promote to front
-      if (obs_.metrics != nullptr) obs_.metrics->counter("predictor.cache_hits").add();
-      // Untimed event: the predictor runs outside the simulation clock.
-      obs_.emit(obs::TraceEvent(obs::EventKind::PredictorCacheHit));
       return it->second->prediction;
     }
     ++misses_;
   }
-  if (obs_.metrics != nullptr) obs_.metrics->counter("predictor.fits").add();
-  obs_.emit(obs::TraceEvent(obs::EventKind::PredictorFit));
 
   // Compute outside the lock: concurrent misses on different keys must not
   // serialize on the inner LSQ/MCMC work (inner predictors are stateless).
@@ -75,9 +62,6 @@ CurvePrediction CachingPredictor::predict(std::span<const double> history,
           have_seed = true;
         }
       }
-    }
-    if (have_seed && obs_.metrics != nullptr) {
-      obs_.metrics->counter("predictor.warm_seeds").add();
     }
     WarmPosterior out;
     prediction = warm_inner_->predict_warm(history, future_epochs, horizon,
@@ -137,16 +121,6 @@ std::size_t CachingPredictor::warm_hits() const noexcept {
 std::size_t CachingPredictor::warm_size() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   return warm_cache_.size();
-}
-
-std::shared_ptr<const CurvePredictor> with_cache(
-    std::shared_ptr<const CurvePredictor> inner, std::size_t capacity, obs::Scope scope) {
-  return std::make_shared<CachingPredictor>(std::move(inner), capacity, std::move(scope));
-}
-
-std::shared_ptr<const CurvePredictor> with_cache_options(
-    std::shared_ptr<const CurvePredictor> inner, CachingOptions options, obs::Scope scope) {
-  return std::make_shared<CachingPredictor>(std::move(inner), options, std::move(scope));
 }
 
 }  // namespace hyperdrive::curve

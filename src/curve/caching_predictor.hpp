@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "curve/predictor.hpp"
-#include "obs/scope.hpp"
 
 namespace hyperdrive::curve {
 
@@ -50,16 +49,9 @@ struct CachingOptions {
 
 class CachingPredictor final : public CurvePredictor {
  public:
-  /// Wraps `inner` with an LRU cache of `capacity` predictions.
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, std::size_t capacity = 256);
-  /// As above with an instrumentation scope: every predict() emits an untimed
-  /// PredictorFit (cache miss) or PredictorCacheHit event and bumps the
-  /// predictor.fits / predictor.cache_hits counters (DESIGN.md §10).
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, std::size_t capacity,
-                   obs::Scope scope);
-  /// Full options (warm-start mode lives here).
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, CachingOptions options,
-                   obs::Scope scope = {});
+  /// Wraps `inner` with an LRU cache of `options.capacity` predictions (and,
+  /// in warm-start mode, `options.warm_capacity` posterior states).
+  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, CachingOptions options);
 
   [[nodiscard]] std::string_view name() const noexcept override { return "caching"; }
 
@@ -88,7 +80,6 @@ class CachingPredictor final : public CurvePredictor {
   std::shared_ptr<const CurvePredictor> inner_;
   const WarmStartPredictor* warm_inner_ = nullptr;  ///< inner_, if warm-startable
   CachingOptions options_;
-  obs::Scope obs_;
   // LRU: most-recent at the front; map points into the list. All members
   // below are guarded by mutex_ (predict() is const but mutates).
   mutable std::mutex mutex_;
@@ -100,16 +91,5 @@ class CachingPredictor final : public CurvePredictor {
   mutable std::size_t misses_ = 0;
   mutable std::size_t warm_hits_ = 0;
 };
-
-/// Convenience: wrap a predictor. Pass a scope to observe fit/cache-hit
-/// activity; the default detached scope adds nothing.
-[[nodiscard]] std::shared_ptr<const CurvePredictor> with_cache(
-    std::shared_ptr<const CurvePredictor> inner, std::size_t capacity = 256,
-    obs::Scope scope = {});
-
-/// As with_cache, with full options (warm-start mode).
-[[nodiscard]] std::shared_ptr<const CurvePredictor> with_cache_options(
-    std::shared_ptr<const CurvePredictor> inner, CachingOptions options,
-    obs::Scope scope = {});
 
 }  // namespace hyperdrive::curve

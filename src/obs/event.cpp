@@ -37,9 +37,6 @@ std::string_view to_string(EventKind kind) noexcept {
     case EventKind::SpotPreempted: return "spot-preempted";
     case EventKind::NodeAcquired: return "node-acquired";
     case EventKind::NodeReleased: return "node-released";
-    case EventKind::PolicyPromote: return "promote";
-    case EventKind::PredictorFit: return "predictor-fit";
-    case EventKind::PredictorCacheHit: return "predictor-cache-hit";
     case EventKind::CheckpointWritten: return "checkpoint-written";
     case EventKind::CheckpointLoaded: return "checkpoint-loaded";
     case EventKind::CheckpointFallback: return "checkpoint-fallback";

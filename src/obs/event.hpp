@@ -1,10 +1,10 @@
 // Typed trace events — the unified instrumentation vocabulary (DESIGN.md
 // §10). Every scheduling-relevant occurrence in the system (job lifecycle,
-// recovery actions, gray-failure transitions, lease protocol steps, policy
-// promotions, predictor activity) is one TraceEvent record emitted through an
-// obs::Scope. The sink's stream is the only event record, and its one text
-// form is the timeline row (obs/export.hpp): what --trace-out exports and what
-// golden-trace tests compare.
+// recovery actions, gray-failure transitions, lease protocol steps, capacity
+// changes, checkpoints, service admissions) is one TraceEvent record emitted
+// through an obs::Scope. The sink's stream is the only event record, and its
+// one text form is the timeline row (obs/export.hpp): what --trace-out
+// exports and what golden-trace tests compare.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +58,6 @@ enum class EventKind {
   SpotPreempted,  ///< M
   NodeAcquired,   ///< detail = "class=<name> count=N"
   NodeReleased,   ///< detail = "class=<name> count=N"
-  // --- policy and predictor ------------------------------------------------
-  PolicyPromote,      ///< J: the job entered POP's promising set (§3.2)
-  PredictorFit,       ///< untimed: a learning-curve posterior was computed
-  PredictorCacheHit,  ///< untimed: a memoized posterior was served (§5.2)
   // --- coordinator crash-recovery (DESIGN.md §12) ---------------------------
   // CheckpointWritten rides the deterministic timeline (it fires at a sim
   // tick in every run, interrupted or not); the rest describe one concrete
@@ -87,9 +83,7 @@ enum class EventKind {
 
 /// One structured observation. Integer ids use -1 for "not applicable";
 /// `detail` carries the free-form qualifier of the few events that have one
-/// (migration and lease-park reasons, checkpoint sequence numbers). Events
-/// emitted from outside the simulation clock (predictor activity) carry time
-/// zero and are documented as untimed.
+/// (migration and lease-park reasons, checkpoint sequence numbers).
 struct TraceEvent {
   EventKind kind;
   util::SimTime time = util::SimTime::zero();

@@ -1,7 +1,7 @@
 // obs::Scope — the one instrumentation handle threaded through construction
-// of every layer (ClusterOptions, RunnerOptions, StudyManagerOptions,
-// PopConfig, the caching predictor). A default Scope is detached: emit sites
-// cost a single null-pointer test and build nothing, which is the
+// of every instrumented layer (ClusterOptions, RunnerOptions,
+// StudyManagerOptions, ServiceOptions). A default Scope is detached: emit
+// sites cost a single null-pointer test and build nothing, which is the
 // zero-overhead-when-null contract the perf_sweep_cell overhead budget holds
 // the subsystem to (DESIGN.md §10).
 //

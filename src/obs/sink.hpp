@@ -20,9 +20,9 @@ class EventSink {
 };
 
 /// Buffers every event in emission order. Not internally synchronized: one
-/// RecordingSink belongs to one run (the SweepEngine hands each cell its
-/// own, which is how a parallel sweep's merged timeline stays identical to
-/// the serial one).
+/// RecordingSink belongs to one run (a sweep cell's `run` attaches its own
+/// and moves the events into SweepRow::events, which is how a parallel
+/// sweep's merged timeline stays identical to the serial one).
 class RecordingSink final : public EventSink {
  public:
   void on_event(const TraceEvent& event) override { events.push_back(event); }

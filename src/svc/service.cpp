@@ -15,6 +15,7 @@
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cli_options.hpp"
 
 namespace hyperdrive::svc {
 
@@ -554,10 +555,14 @@ void StudyService::resume_scan() {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(options_.state_dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("sub-", 0) != 0) continue;
-    char* end = nullptr;
-    const unsigned long long id = std::strtoull(name.c_str() + 4, &end, 10);
-    if (end == nullptr || *end != '\0' || id == 0) continue;
+    // Only the name sub_dir(id) writes: strict digits (as CheckpointStore::list
+    // reads ckpt-N.hdck) that print back as the same name. "sub-01" or
+    // "sub-+1" would otherwise read as id 1 again and re-admit it once more.
+    std::uint64_t id = 0;
+    if (!name.starts_with("sub-") || !cli::Options::parse_uint(name.substr(4), id) ||
+        id == 0 || name != "sub-" + std::to_string(id)) {
+      continue;
+    }
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());

@@ -3,39 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace hyperdrive::util {
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = std::max<std::size_t>(1, threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-  }
-}
 
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn) {

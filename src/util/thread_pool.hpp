@@ -1,56 +1,15 @@
-// Fixed-size thread pool. The paper pushes learning-curve prediction onto
-// Node Agents so predictions run in parallel with training (§5.2); in this
-// reproduction the MCMC predictor can likewise be fanned out across a pool.
+// parallel_for — fan independent work items out across worker threads. The
+// sweep engine runs its cells on it (core::run_sweep, DESIGN.md §8).
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace hyperdrive::util {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue a task; the returned future reports its result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("submit on stopped ThreadPool");
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-};
-
-/// Run fn(i) for i in [0, n) across `threads` workers and wait. Exceptions
-/// from any invocation are rethrown (first one wins).
+/// Run fn(i) for i in [0, n) across `threads` workers and wait. Workers take
+/// indices in increasing order. Exceptions from any invocation are rethrown
+/// (first one wins).
 void parallel_for(std::size_t n, std::size_t threads, const std::function<void(std::size_t)>& fn);
 
 }  // namespace hyperdrive::util

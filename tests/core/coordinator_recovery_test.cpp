@@ -196,9 +196,8 @@ TEST(CoordinatorRecoveryTest, CrashAndResumeIsByteIdenticalAcrossThirtySeeds) {
 }
 
 TEST(CoordinatorRecoveryTest, CrashedRunsAreThreadCountInvariant) {
-  // Four independent crashed-and-resumed cells through the SweepEngine's
-  // custom run hook: tables and merged timelines must be byte-identical at
-  // 1 and 8 worker threads.
+  // Four independent crashed-and-resumed sweep cells: tables and merged
+  // timelines must be byte-identical at 1 and 8 worker threads.
   const auto make_sweep = [](std::vector<std::vector<std::string>>& logs) {
     SweepSpec spec;
     spec.name = "crash_resume_mix";

@@ -175,21 +175,17 @@ SweepSpec zoo_sweep(std::shared_ptr<const workload::WorkloadModel> model) {
   spec.name = "zoo_determinism";
   const auto policy_ax = spec.add_policy_axis({"asha", "pbt"});
   const auto repeat_ax = spec.add_repeat_axis(30);
-  spec.trace = [model, repeat_ax](const SweepCell& cell) {
-    return workload::reachable_trace(*model, 16, 9000 + cell.at(repeat_ax) * 13);
-  };
-  spec.policy = [policy_ax, repeat_ax](const SweepCell& cell) {
+  spec.run = [model, policy_ax, repeat_ax](const SweepCell& cell) {
+    const auto trace = workload::reachable_trace(*model, 16, 9000 + cell.at(repeat_ax) * 13);
     const std::vector<std::string> names = {"asha", "pbt"};
-    return make_standard_policy(names[cell.at(policy_ax)], cell.at(repeat_ax));
-  };
-  spec.options = [model](const SweepCell& cell) {
+    const auto policy = make_standard_policy(names[cell.at(policy_ax)], cell.at(repeat_ax));
     RunnerOptions options;
     options.substrate = Substrate::TraceReplay;
     options.machines = 3;
     options.seed = cell.at(1);
     options.max_experiment_time = util::SimTime::hours(96);
     options.explore = make_model_explore(model);
-    return options;
+    return run_experiment(trace, *policy, options);
   };
   return spec;
 }

@@ -5,8 +5,8 @@
 //     survivors, static partitioning strands it;
 //   * cancellation drains a tenant and the pool absorbs its slots;
 //   * a 3-study mix is deterministic: two runs produce identical merged
-//     timelines and CSV bytes, and a SweepEngine fan-out over the custom
-//     `run` hook gives byte-identical tables at 1 and 8 worker threads;
+//     timelines and CSV bytes, and a run_sweep fan-out over the spec's
+//     `run` gives byte-identical tables at 1 and 8 worker threads;
 //   * an attached sink changes no checkpoint or CSV byte.
 #include <gtest/gtest.h>
 
@@ -301,8 +301,8 @@ TEST(StudyManagerTest, ThreeStudyMixIsDeterministic) {
 }
 
 TEST(StudyManagerTest, SweepOverRunHookIsThreadCountInvariant) {
-  // Four independent multi-study cells via the SweepEngine's custom-run
-  // hook; slot-per-cell writes keep the table identical at any thread count.
+  // Four independent multi-study sweep cells; slot-per-cell writes keep the
+  // table identical at any thread count.
   const auto make_sweep = [&](std::vector<std::vector<std::string>>& logs) {
     SweepSpec spec;
     spec.name = "multi_study_mix";

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/experiment_runner.hpp"
 #include "core/policy_registry.hpp"
 #include "workload/cifar_model.hpp"
 #include "workload/trace_tools.hpp"
@@ -19,19 +20,15 @@ SweepSpec small_sweep(const workload::WorkloadModel& model) {
   spec.name = "test_sweep";
   const auto policy_ax = spec.add_policy_axis({"pop", "bandit", "earlyterm"});
   const auto repeat_ax = spec.add_repeat_axis(3);
-  spec.trace = [&model, repeat_ax](const SweepCell& cell) {
-    return workload::reachable_trace(model, 20, 100 + cell.at(repeat_ax) * 7);
-  };
-  spec.policy = [policy_ax, repeat_ax](const SweepCell& cell) {
+  spec.run = [&model, policy_ax, repeat_ax](const SweepCell& cell) {
+    const auto trace = workload::reachable_trace(model, 20, 100 + cell.at(repeat_ax) * 7);
     const std::vector<std::string> names = {"pop", "bandit", "earlyterm"};
-    return make_standard_policy(names[cell.at(policy_ax)], cell.at(repeat_ax));
-  };
-  spec.options = [](const SweepCell&) {
+    const auto policy = make_standard_policy(names[cell.at(policy_ax)], cell.at(repeat_ax));
     RunnerOptions options;
     options.substrate = Substrate::TraceReplay;
     options.machines = 2;
     options.max_experiment_time = util::SimTime::hours(48);
-    return options;
+    return run_experiment(trace, *policy, options);
   };
   return spec;
 }
@@ -76,18 +73,14 @@ TEST(SweepSpecTest, CellSeedsAreStableUnderSweepExtension) {
 }
 
 TEST(SweepEngineTest, ValidatesTheSpec) {
-  SweepEngine engine;
-  SweepSpec empty;
-  EXPECT_THROW((void)engine.run(empty), std::invalid_argument);
-
   workload::CifarWorkloadModel model;
-  auto no_trace = small_sweep(model);
-  no_trace.trace = nullptr;
-  EXPECT_THROW((void)engine.run(no_trace), std::invalid_argument);
+  auto no_axes = small_sweep(model);
+  no_axes.axes.clear();
+  EXPECT_THROW((void)run_sweep(no_axes), std::invalid_argument);
 
-  auto no_policy = small_sweep(model);
-  no_policy.policy = nullptr;
-  EXPECT_THROW((void)engine.run(no_policy), std::invalid_argument);
+  auto no_run = small_sweep(model);
+  no_run.run = nullptr;
+  EXPECT_THROW((void)run_sweep(no_run), std::invalid_argument);
 }
 
 TEST(SweepEngineTest, RowsComeBackInCellEnumerationOrder) {
@@ -117,9 +110,10 @@ TEST(SweepEngineTest, CollectFillsExtraColumns) {
   workload::CifarWorkloadModel model;
   auto spec = small_sweep(model);
   spec.extra_columns = {"cell_seed_lo"};
-  spec.collect = [](const SweepCell& cell, const SchedulingPolicy&,
-                    const ExperimentResult&) {
-    return std::vector<double>{static_cast<double>(cell.seed & 0xFFFF)};
+  spec.run = [run = spec.run](const SweepCell& cell) {
+    SweepRow row = run(cell);
+    row.extra = {static_cast<double>(cell.seed & 0xFFFF)};
+    return row;
   };
   const auto table = run_sweep(spec, 2);
   ASSERT_EQ(table.extra_column("cell_seed_lo"), 0u);
@@ -134,8 +128,10 @@ TEST(SweepEngineTest, CollectArityMismatchThrows) {
   workload::CifarWorkloadModel model;
   auto spec = small_sweep(model);
   spec.extra_columns = {"a", "b"};
-  spec.collect = [](const SweepCell&, const SchedulingPolicy&, const ExperimentResult&) {
-    return std::vector<double>{1.0};  // wrong arity
+  spec.run = [run = spec.run](const SweepCell& cell) {
+    SweepRow row = run(cell);
+    row.extra = {1.0};  // wrong arity
+    return row;
   };
   EXPECT_THROW((void)run_sweep(spec, 1), std::runtime_error);
 }

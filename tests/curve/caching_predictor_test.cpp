@@ -35,14 +35,14 @@ class CountingPredictor final : public CurvePredictor {
 };
 
 TEST(CachingPredictorTest, ValidatesConstruction) {
-  EXPECT_THROW(CachingPredictor(nullptr, 4), std::invalid_argument);
-  EXPECT_THROW(CachingPredictor(std::make_shared<CountingPredictor>(), 0),
+  EXPECT_THROW(CachingPredictor(nullptr, CachingOptions{4}), std::invalid_argument);
+  EXPECT_THROW(CachingPredictor(std::make_shared<CountingPredictor>(), CachingOptions{0}),
                std::invalid_argument);
 }
 
 TEST(CachingPredictorTest, RepeatedRequestsHitTheCache) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 8);
+  CachingPredictor cached(inner, CachingOptions{8});
   const std::vector<double> history = {0.1, 0.2, 0.3};
   const std::vector<double> future = {10.0, 20.0};
 
@@ -56,7 +56,7 @@ TEST(CachingPredictorTest, RepeatedRequestsHitTheCache) {
 
 TEST(CachingPredictorTest, DifferentRequestsMiss) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 8);
+  CachingPredictor cached(inner, CachingOptions{8});
   const std::vector<double> history = {0.1, 0.2, 0.3};
   (void)cached.predict(history, std::vector<double>{10.0}, 120.0);
   (void)cached.predict(history, std::vector<double>{11.0}, 120.0);  // future differs
@@ -69,7 +69,7 @@ TEST(CachingPredictorTest, DifferentRequestsMiss) {
 
 TEST(CachingPredictorTest, LruEvictsOldestEntry) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 2);
+  CachingPredictor cached(inner, CachingOptions{2});
   const std::vector<double> h1 = {0.1}, h2 = {0.2}, h3 = {0.3};
   const std::vector<double> future = {5.0};
   (void)cached.predict(h1, future, 120.0);  // miss (h1 cached)
@@ -107,7 +107,7 @@ class AtomicCountingPredictor final : public CurvePredictor {
 // this must be data-race free, not just crash-free).
 TEST(CachingPredictorTest, ConcurrentHammerStaysConsistent) {
   auto inner = std::make_shared<AtomicCountingPredictor>();
-  CachingPredictor cached(inner, 16);
+  CachingPredictor cached(inner, CachingOptions{16});
 
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 200;
@@ -139,8 +139,11 @@ TEST(CachingPredictorTest, ConcurrentHammerStaysConsistent) {
 }
 
 TEST(CachingPredictorTest, WrapHelperSharesSemantics) {
+  // The shape core::make_predictor hands out: the decorator behind the base
+  // interface.
   auto inner = std::make_shared<CountingPredictor>();
-  const auto cached = with_cache(inner, 4);
+  const std::shared_ptr<const CurvePredictor> cached =
+      std::make_shared<CachingPredictor>(inner, CachingOptions{4});
   const std::vector<double> history = {0.5};
   (void)cached->predict(history, std::vector<double>{3.0}, 10.0);
   (void)cached->predict(history, std::vector<double>{3.0}, 10.0);
@@ -228,10 +231,10 @@ TEST(WarmStartTest, LongestStoredPrefixWins) {
 
 TEST(WarmStartTest, OnByDefaultAndColdForNonPrefixHistories) {
   auto inner = std::make_shared<RecordingWarmPredictor>();
-  // Default options (including the legacy capacity-only constructor): warm
-  // seeding engages for a warm-startable inner — the 30-seed property test
-  // below is what licenses this default.
-  CachingPredictor defaulted(inner, 8);
+  // Default options (capacity aside): warm seeding engages for a
+  // warm-startable inner — the 30-seed property test below is what licenses
+  // this default.
+  CachingPredictor defaulted(inner, CachingOptions{8});
   const std::vector<double> future = {50.0};
   (void)defaulted.predict(std::vector<double>{0.1, 0.2}, future, 120.0);
   (void)defaulted.predict(std::vector<double>{0.1, 0.2, 0.3}, future, 120.0);

@@ -268,25 +268,33 @@ TEST(ObsSweepTimelineTest, ThreadCountDoesNotChangeTimelineBytes) {
   core::SweepSpec spec;
   spec.name = "obs_sweep";
   spec.base_seed = 3;
-  spec.capture_events = true;
   (void)spec.add_repeat_axis(4);
-  spec.trace = [](const core::SweepCell&) { return linear_trace(4, 8); };
-  spec.policy = [](const core::SweepCell&) {
-    return std::make_unique<core::DefaultPolicy>();
-  };
-  spec.options = [](const core::SweepCell& cell) {
+  // Each cell records into its own sink and reports an extra column too, so
+  // both ride on one row.
+  spec.extra_columns = {"events"};
+  spec.run = [](const core::SweepCell& cell) {
+    core::DefaultPolicy policy;
     core::RunnerOptions options;
     options.substrate = core::Substrate::Cluster;
     options.machines = 2;
     options.seed = 100 + cell.seed;
-    return options;
+    obs::RecordingSink sink;
+    options.obs.sink = &sink;
+    core::SweepRow row = core::run_experiment(linear_trace(4, 8), policy, options);
+    row.extra = {static_cast<double>(sink.events.size())};
+    row.events = std::move(sink.events);
+    return row;
   };
 
   const auto serial = core::run_sweep(spec, 1);
   const auto fanned = core::run_sweep(spec, 8);
 
   std::size_t events = 0;
-  for (const auto& row : serial.rows) events += row.events.size();
+  for (const auto& row : serial.rows) {
+    events += row.events.size();
+    ASSERT_EQ(row.extra.size(), 1u);
+    EXPECT_EQ(row.extra[0], static_cast<double>(row.events.size()));
+  }
   EXPECT_GT(events, 0u);
 
   std::ostringstream a, b;
@@ -294,14 +302,6 @@ TEST(ObsSweepTimelineTest, ThreadCountDoesNotChangeTimelineBytes) {
   fanned.save_timeline_csv(b);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(serial.to_csv(), fanned.to_csv());
-}
-
-TEST(ObsSweepTimelineTest, CaptureWithCustomRunExecutorThrows) {
-  core::SweepSpec spec;
-  (void)spec.add_axis("arm", {"a", "b"});
-  spec.capture_events = true;
-  spec.run = [](const core::SweepCell&) { return core::ExperimentResult{}; };
-  EXPECT_THROW((void)core::run_sweep(spec, 1), std::invalid_argument);
 }
 
 }  // namespace

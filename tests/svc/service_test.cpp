@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -307,6 +308,30 @@ TEST(SvcServiceTest, RestartResumesUnfinishedSubmissionsByteIdentically) {
   EXPECT_EQ(got, ref_result);
   ASSERT_TRUE(reborn.artifact(1, ArtifactKind::TimelineCsv, got, error)) << error;
   EXPECT_EQ(got, ref_timeline);
+}
+
+TEST(SvcServiceTest, ResumeScanSkipsNonCanonicalSubmissionNames) {
+  // An unfinished journal entry plus stray directories whose suffixes also
+  // read as id 1 under a lenient number parse. Each one re-admitting id 1
+  // would launch a second worker for the same id and abort the process.
+  const auto dir = fresh_dir("svc_service_stray_dirs");
+  std::filesystem::create_directories(dir / "sub-1");
+  {
+    std::ofstream spec(dir / "sub-1" / "spec.study");
+    spec << kSpecAlpha;
+    std::ofstream meta(dir / "sub-1" / "meta");
+    meta << "tenant alice\nstate running\n";
+  }
+  std::filesystem::create_directories(dir / "sub-01");
+  std::filesystem::create_directories(dir / "sub-+1");
+
+  StudyService service(small_service(dir.string()));
+  EXPECT_EQ(service.resumed_count(), 1u);
+  service.wait_idle();
+  EXPECT_EQ(service.list("").size(), 1u);
+  const auto info = service.status(1);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->state, StudyState::Finished);
 }
 
 TEST(SvcServiceTest, EmitsTypedEventsAndPinnedMetrics) {

@@ -4,40 +4,10 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 namespace hyperdrive::util {
 namespace {
-
-TEST(ThreadPoolTest, SubmitReturnsResults) {
-  ThreadPool pool(4);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPoolTest, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, ExceptionsPropagateThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ManyTasksAllRun) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
 
 TEST(ParallelForTest, CoversAllIndicesExactlyOnce) {
   std::vector<std::atomic<int>> hits(500);

@@ -10,7 +10,7 @@
 #               build-san-thread for the thread mode — the object files are
 #               ABI-incompatible across modes, so each gets its own tree)
 #   ctest-regex optional ctest -R filter, e.g. the concurrency-focused subset
-#               'ThreadPool|CachingPredictor|Sweep' for the CI thread mode
+#               'ParallelFor|CachingPredictor|Sweep' for the CI thread mode
 #
 # The three supported modes (see README "Sanitized test runs"):
 #   tools/run_sanitized_tests.sh                      # address,undefined

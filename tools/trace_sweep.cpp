@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/experiment_runner.hpp"
 #include "core/policy_registry.hpp"
 #include "core/sweep_engine.hpp"
 #include "util/cli_options.hpp"
@@ -45,16 +46,13 @@ void sweep(const workload::WorkloadModel& model, const ToolConfig& config,
   spec.name = "trace_sweep";
   const auto trace_ax = spec.add_axis("trace", trace_labels);
   const auto policy_ax = spec.add_policy_axis(config.policies);
-  spec.trace = [&](const core::SweepCell& cell) { return traces[cell.at(trace_ax)]; };
-  spec.policy = [&](const core::SweepCell& cell) {
-    return core::make_standard_policy(config.policies[cell.at(policy_ax)],
-                                      cell.at(trace_ax));
-  };
-  spec.options = [&](const core::SweepCell&) {
+  spec.run = [&](const core::SweepCell& cell) {
+    const auto policy =
+        core::make_standard_policy(config.policies[cell.at(policy_ax)], cell.at(trace_ax));
     core::RunnerOptions options;
     options.machines = machines;
     options.max_experiment_time = util::SimTime::hours(96);
-    return options;
+    return core::run_experiment(traces[cell.at(trace_ax)], *policy, options);
   };
 
   const auto table = core::run_sweep(spec);
