@@ -7,7 +7,6 @@
 // cli::Options flag table:
 //   --jobs N      sweep worker threads (default: hardware concurrency)
 //   --csv PATH    write the SweepTable as CSV (EXPERIMENTS.md schema)
-//   --out PATH    perf benches: where the BENCH_*.json record goes
 //   --smoke       tiny-repeat run for the bench_smoke CTest label
 // Benches without a sweep accept the same flags, so a typo or a bad value is
 // rejected everywhere.
@@ -15,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -52,7 +52,6 @@ inline const std::vector<std::string>& all_policies() {
 struct BenchOptions {
   std::size_t jobs = 0;  ///< sweep threads; 0 = hardware concurrency
   std::string csv;       ///< write the sweep table here when non-empty
-  std::string out;       ///< perf_* benches: override the BENCH_*.json path
   bool smoke = false;    ///< CTest smoke mode: shrink repeat counts
 
   /// Repeats to run: the figure's count, or at most 2 under --smoke.
@@ -70,8 +69,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
                      "reproduce one figure or table of the paper's evaluation");
   flags.bind("--jobs", "N", "sweep worker threads, 0 = all cores  [0]", options.jobs);
   flags.bind("--csv", "PATH", "write the sweep table as CSV", options.csv);
-  flags.bind("--out", "PATH", "perf benches: write the BENCH_*.json record here",
-             options.out);
   flags.add_flag("--smoke", "tiny-repeat run for the bench_smoke CTest label",
                  options.smoke);
   if (!flags.parse(argc, argv)) std::exit(2);
@@ -79,14 +76,20 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
 }
 
 /// Run the sweep on the requested worker count, print the engine timing
-/// line, and honor --csv. Every bench's grid goes through here.
+/// line, and honor --csv (a failed write prints `error: ...` and exits 1).
+/// Every bench's grid goes through here.
 inline core::SweepTable run_bench_sweep(const core::SweepSpec& spec,
                                         const BenchOptions& options) {
   auto table = core::run_sweep(spec, options.jobs);
   std::printf("[sweep] %s: %zu cells on %zu threads in %.2f s\n", table.name.c_str(),
               table.rows.size(), table.threads, table.wall_seconds);
   if (!options.csv.empty()) {
-    table.save_csv_file(options.csv);
+    try {
+      table.save_csv_file(options.csv);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::exit(1);
+    }
     std::printf("[sweep] table written to %s\n", options.csv.c_str());
   }
   return table;

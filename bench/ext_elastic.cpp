@@ -20,7 +20,6 @@
 // The headline property (ISSUE §15): cost arbitration meets at least as many
 // deadlines as the deadline mode at measurably (≥5%) lower spend.
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 
 #include "core/study/study_manager.hpp"
 
@@ -171,16 +170,6 @@ int main(int argc, char** argv) {
       no_fewer_deadlines ? "no fewer" : "FEWER",
       cost_spend, deadline_spend,
       measurably_cheaper ? "measurably cheaper" : "NOT measurably cheaper");
-
-  bench::BenchJson json("ext_elastic");
-  json.set("deadline_spend_usd", deadline_spend);
-  json.set("cost_spend_usd", cost_spend);
-  json.set("spend_ratio", deadline_spend > 0.0 ? cost_spend / deadline_spend : 0.0);
-  json.set_count("deadline_deadlines_met", deadline.deadlines_met);
-  json.set_count("cost_deadlines_met", cost.deadlines_met);
-  json.set_count("repeats", arms[0].runs);
-  json.set_count("smoke", bench_options.smoke ? 1 : 0);
-  json.write_file(bench_options.out.empty() ? "BENCH_elastic.json" : bench_options.out);
 
   // The property is statistical: enforce it on the full 20-repeat run only
   // (the 2-repeat --smoke pass just exercises the machinery end to end).

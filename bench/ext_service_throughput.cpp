@@ -10,10 +10,8 @@
 //     first study running, plus the mean queue wait the svc.queue_wait_ms
 //     histogram accumulated while the rest of the batch drained.
 //
-// Both sweeps run at 1/2/4/8 tenants (1/2 under --smoke) and land in
-// BENCH_service.json (schema: EXPERIMENTS.md "Service throughput bench").
+// Both sweeps run at 1/2/4/8 tenants (1/2 under --smoke).
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 
 #include <chrono>
 #include <memory>
@@ -142,9 +140,6 @@ int main(int argc, char** argv) {
       options.smoke ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4, 8};
   const std::size_t per_tenant = options.smoke ? 10 : 50;
 
-  bench::BenchJson json("ext_service_throughput");
-  const auto wall0 = Clock::now();
-
   std::printf("\n%-8s %16s %18s %20s\n", "tenants", "submits/s", "first-grant (ms)",
               "queue-wait mean (ms)");
   for (const std::size_t tenants : tenant_counts) {
@@ -152,17 +147,6 @@ int main(int argc, char** argv) {
     const GrantTimes grant = grant_latency(tenants);
     std::printf("%-8zu %16.1f %18.3f %20.3f\n", tenants, rate, grant.first_grant_ms,
                 grant.queue_wait_mean_ms);
-    const std::string suffix = "_t" + std::to_string(tenants);
-    json.set("submits_per_s" + suffix, rate);
-    json.set("first_grant_ms" + suffix, grant.first_grant_ms);
-    json.set("queue_wait_mean_ms" + suffix, grant.queue_wait_mean_ms);
   }
-
-  json.set("wall_ms", ms_since(wall0));
-  json.set_count("per_tenant", per_tenant);
-  json.set_count("smoke", options.smoke ? 1 : 0);
-  json.write_file(options.out.empty() ? "BENCH_service.json" : options.out);
-  std::printf("\nrecord written to %s\n",
-              options.out.empty() ? "BENCH_service.json" : options.out.c_str());
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "cluster/cluster.hpp"
@@ -22,6 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cli_options.hpp"
 #include "util/stats.hpp"
 
@@ -252,6 +254,13 @@ cli::Options make_options(CliConfig& config) {
   return options;
 }
 
+/// A failed artifact write (util::write_file names the path): exit 1, and
+/// no "written to" line for it.
+int write_failed(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
+}
+
 /// Multi-study mode: every --study file becomes a tenant of one shared
 /// cluster. Each spec names its own workload/policy/generator/seed, so of
 /// the single-study flags only --seed is read: it seeds the manager.
@@ -345,19 +354,24 @@ int run_studies(const CliConfig& config) {
                 static_cast<unsigned long long>(recovery.cold_restarts),
                 static_cast<unsigned long long>(recovery.replay_verifications));
   }
-  if (!config.csv.empty()) {
-    std::ofstream out(config.csv);
-    result.save_csv(out);
-    std::printf("multi-study table written to %s\n", config.csv.c_str());
-  }
-  if (!config.trace_out.empty()) {
-    obs::save_timeline_file(config.trace_out, sink.events);
-    std::printf("timeline (%zu events) written to %s\n", sink.events.size(),
-                config.trace_out.c_str());
-  }
-  if (!config.metrics_out.empty()) {
-    registry.save_csv_file(config.metrics_out);
-    std::printf("metrics snapshot written to %s\n", config.metrics_out.c_str());
+  try {
+    if (!config.csv.empty()) {
+      std::ostringstream csv;
+      result.save_csv(csv);
+      util::write_file(config.csv, csv.str());
+      std::printf("multi-study table written to %s\n", config.csv.c_str());
+    }
+    if (!config.trace_out.empty()) {
+      obs::save_timeline_file(config.trace_out, sink.events);
+      std::printf("timeline (%zu events) written to %s\n", sink.events.size(),
+                  config.trace_out.c_str());
+    }
+    if (!config.metrics_out.empty()) {
+      registry.save_csv_file(config.metrics_out);
+      std::printf("metrics snapshot written to %s\n", config.metrics_out.c_str());
+    }
+  } catch (const std::exception& e) {
+    return write_failed(e);
   }
   return 0;
 }
@@ -401,8 +415,13 @@ int main(int argc, char** argv) {
   }
   const workload::Trace& base = study.trace;
   if (!config.save_trace.empty()) {
-    std::ofstream out(config.save_trace);
-    base.save_csv(out);
+    std::ostringstream csv;
+    base.save_csv(csv);
+    try {
+      util::write_file(config.save_trace, csv.str());
+    } catch (const std::exception& e) {
+      return write_failed(e);
+    }
     std::printf("trace written to %s\n", config.save_trace.c_str());
   }
 
@@ -465,20 +484,24 @@ int main(int argc, char** argv) {
   };
 
   const auto table = core::run_sweep(spec, config.jobs);
-  if (!config.csv.empty()) {
-    table.save_csv_file(config.csv);
-    std::printf("sweep table written to %s\n", config.csv.c_str());
-  }
-  if (!config.trace_out.empty()) {
-    table.save_timeline_csv_file(config.trace_out);
-    std::size_t events = 0;
-    for (const auto& row : table.rows) events += row.events.size();
-    std::printf("timeline (%zu events) written to %s\n", events,
-                config.trace_out.c_str());
-  }
-  if (!config.metrics_out.empty()) {
-    registry.save_csv_file(config.metrics_out);
-    std::printf("metrics snapshot written to %s\n", config.metrics_out.c_str());
+  try {
+    if (!config.csv.empty()) {
+      table.save_csv_file(config.csv);
+      std::printf("sweep table written to %s\n", config.csv.c_str());
+    }
+    if (!config.trace_out.empty()) {
+      table.save_timeline_csv_file(config.trace_out);
+      std::size_t events = 0;
+      for (const auto& row : table.rows) events += row.events.size();
+      std::printf("timeline (%zu events) written to %s\n", events,
+                  config.trace_out.c_str());
+    }
+    if (!config.metrics_out.empty()) {
+      registry.save_csv_file(config.metrics_out);
+      std::printf("metrics snapshot written to %s\n", config.metrics_out.c_str());
+    }
+  } catch (const std::exception& e) {
+    return write_failed(e);
   }
 
   std::vector<double> times_min;

@@ -10,11 +10,11 @@
 //                    --tenant-max-slots 8 --arbitration fair   (one command)
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string>
 
 #include "svc/server.hpp"
 #include "svc/service.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cli_options.hpp"
 
 using namespace hyperdrive;
@@ -163,12 +163,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
     if (!config.port_file.empty()) {
-      // tmp + rename: a script polling for the file never reads it half-written.
-      const std::string tmp = config.port_file + ".tmp";
-      std::ofstream out(tmp);
-      out << server.port() << "\n";
-      out.close();
-      std::filesystem::rename(tmp, config.port_file);
+      // Atomic: a script polling for the file never reads it half-written.
+      util::write_file_atomic(config.port_file, std::to_string(server.port()) + "\n");
     }
 
     server.wait_shutdown();
@@ -180,7 +176,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!config.metrics_out.empty()) {
-    registry.save_csv_file(config.metrics_out);
+    try {
+      registry.save_csv_file(config.metrics_out);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("metrics snapshot written to %s\n", config.metrics_out.c_str());
   }
   return 0;

@@ -1,7 +1,5 @@
 #include "core/experiment_runner.hpp"
 
-#include <algorithm>
-
 namespace hyperdrive::core {
 
 std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptions& options,
@@ -37,36 +35,6 @@ ExperimentResult run_experiment(const workload::Trace& trace, SchedulingPolicy& 
     return sim::replay_experiment(trace, policy, options);
   }
   return cluster::run_cluster_experiment(trace, policy, options);
-}
-
-AdaptiveSearchResult run_adaptive_search(
-    const workload::WorkloadModel& model, HyperparameterGenerator& generator,
-    const std::function<std::unique_ptr<SchedulingPolicy>()>& policy_factory,
-    const RunnerOptions& options, std::size_t rounds, std::size_t configs_per_round,
-    std::uint64_t experiment_seed) {
-  AdaptiveSearchResult out;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    const auto trace = trace_from_generator(model, generator, configs_per_round,
-                                            experiment_seed ^ round,
-                                            /*report_feedback=*/false);
-    const auto policy = policy_factory();
-    auto result = run_experiment(trace, *policy, options);
-
-    // Close the loop (§4.2 ➁): report what the scheduler actually observed.
-    // Jobs killed early report their best-so-far — exactly the signal the
-    // paper's reportFinalPerformance carries.
-    for (const auto& js : result.job_stats) {
-      if (js.epochs_completed > 0) {
-        generator.report_final_performance(js.job_id, js.best_perf);
-      }
-    }
-    out.best_perf = std::max(out.best_perf, result.best_perf);
-    out.total_time += result.total_time;
-    out.reached_target = out.reached_target || result.reached_target;
-    out.rounds.push_back(std::move(result));
-    if (out.reached_target) break;
-  }
-  return out;
 }
 
 workload::Trace trace_from_generator(const workload::WorkloadModel& model,

@@ -4,7 +4,6 @@
 // the two substrates and returns the collected result.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -77,26 +76,5 @@ struct RunnerOptions : cluster::ClusterOptions {
                                                    std::size_t num_configs,
                                                    std::uint64_t experiment_seed,
                                                    bool report_feedback = false);
-
-/// Multi-round adaptive search: the full Fig. 5 feedback loop. Each round
-/// draws a batch from the generator, runs it under the policy, and reports
-/// every explored job's observed best performance back through
-/// reportFinalPerformance so adaptive generators (TPE, perturbation) focus
-/// the next round. Rounds stop early once the target is reached.
-struct AdaptiveSearchResult {
-  std::vector<ExperimentResult> rounds;
-  double best_perf = 0.0;
-  bool reached_target = false;
-  /// Wall-clock summed across rounds (rounds run back-to-back).
-  util::SimTime total_time = util::SimTime::zero();
-};
-
-/// `policy_factory` runs once per round: policies are stateful, so every
-/// round gets a fresh instance.
-[[nodiscard]] AdaptiveSearchResult run_adaptive_search(
-    const workload::WorkloadModel& model, HyperparameterGenerator& generator,
-    const std::function<std::unique_ptr<SchedulingPolicy>()>& policy_factory,
-    const RunnerOptions& options, std::size_t rounds, std::size_t configs_per_round,
-    std::uint64_t experiment_seed);
 
 }  // namespace hyperdrive::core

@@ -1,6 +1,5 @@
 #include "core/study/coordinator.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <optional>
@@ -8,31 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cluster/fault_injector.hpp"
+#include "obs/sink.hpp"
 
 namespace hyperdrive::core {
-
-namespace {
-
-void emit_recovery(obs::EventSink* sink, obs::EventKind kind, util::SimTime time,
-                   std::string detail) {
-  if (sink == nullptr) return;
-  obs::TraceEvent event(kind);
-  event.time = time;
-  event.detail = std::move(detail);
-  sink->on_event(event);
-}
-
-/// Plan crashes in firing order — the same ordering StudyManager::run uses to
-/// schedule them, so `crashes_taken` indexes consistently on both sides.
-std::vector<cluster::CoordinatorCrashEvent> sorted_crashes(const cluster::FaultPlan& plan) {
-  std::vector<cluster::CoordinatorCrashEvent> crashes = plan.coordinator_crashes;
-  std::stable_sort(crashes.begin(), crashes.end(),
-                   [](const auto& a, const auto& b) { return a.at < b.at; });
-  return crashes;
-}
-
-}  // namespace
 
 void preregister_checkpoint_metrics(obs::MetricsRegistry& registry) {
   // Must list, in order, exactly the metrics the recovery runtime touches —
@@ -61,7 +38,6 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
                                                  const CheckpointOptions& checkpoint,
                                                  const AdmitStudyFn& admit) {
   CoordinatorRecoveryStats stats;
-  obs::EventSink* const recovery_sink = checkpoint.recovery_sink;
   obs::MetricsRegistry* const metrics = options.obs.metrics;
 
   std::optional<CheckpointStore> store;
@@ -90,9 +66,6 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
     target = std::move(frame);
     verified = false;
     ++stats.checkpoint_loads;
-    emit_recovery(recovery_sink, obs::EventKind::CheckpointLoaded, target->tick,
-                  "seq=" + std::to_string(target->sequence) +
-                      " bytes=" + std::to_string(target->state.size()));
   };
 
   // Walk the durable frames newest-first past poisoned / undecodable ones.
@@ -114,17 +87,14 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
       }
       ++stats.checkpoint_fallbacks;
       poisoned.insert(seq);
-      emit_recovery(recovery_sink, obs::EventKind::CheckpointFallback, util::SimTime::zero(),
-                    std::string(cluster::to_string(*decoded.error)) + " seq=" + std::to_string(seq));
     }
     return false;
   };
 
-  const auto cold_restart = [&](const char* reason) {
+  const auto cold_restart = [&] {
     target.reset();
     verified = false;
     ++stats.cold_restarts;
-    emit_recovery(recovery_sink, obs::EventKind::ColdRestart, util::SimTime::zero(), reason);
   };
 
   if (checkpoint.resume) {
@@ -132,7 +102,7 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
     if (adopt_newest_valid()) {
       taken = target->crashes_taken;
     } else {
-      cold_restart("no-usable-checkpoint");
+      cold_restart();
       if (run_specs.empty()) {
         throw std::runtime_error(
             "resume found no usable checkpoint in " + checkpoint.dir +
@@ -149,27 +119,9 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     // The inputs record written into every frame this incarnation produces.
     const CoordinatorCheckpoint inputs = make_checkpoint_inputs(run_specs, base);
-
-    // Buffered only for a caller's sink, which receives it on success.
-    obs::RecordingSink attempt_sink;
-    StudyManagerOptions opt = base;
-    opt.obs.sink = options.obs.sink != nullptr ? &attempt_sink : nullptr;
-    opt.coordinator_crashes_to_skip = taken;
-    opt.crash_floor = target ? target->tick : util::SimTime::zero();
-    bool diverged = false;
-    opt.on_checkpoint = [&](ManagerCheckpoint&& cp) -> bool {
-      if (target && !verified && cp.sequence == target->sequence) {
-        if (cp.tick == target->tick && cp.rebalances == target->rebalances &&
-            cp.state == target->state) {
-          verified = true;
-          ++stats.replay_verifications;
-          emit_recovery(recovery_sink, obs::EventKind::CoordinatorResume, cp.tick,
-                        "seq=" + std::to_string(cp.sequence));
-        } else {
-          diverged = true;
-          return false;  // halt the replay; the ladder picks an older frame
-        }
-      }
+    // The one persist step of periodic and final frames: frame the capture
+    // with this incarnation's inputs, count it, and write it when durable.
+    const auto persist = [&](ManagerCheckpoint&& cp) {
       CoordinatorCheckpoint frame = inputs;
       frame.sequence = cp.sequence;
       frame.tick = cp.tick;
@@ -191,15 +143,32 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
               ->histogram("checkpoint.write_ms", {0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0})
               .observe(std::chrono::duration<double, std::milli>(t1 - t0).count());
         }
-        ++disk_writes_this_process;
-        if (checkpoint.kill_after_checkpoints != 0 &&
-            disk_writes_this_process == checkpoint.kill_after_checkpoints) {
-          // CI crash-resume smoke: die exactly like a real coordinator crash,
-          // with the frame just written as the newest durable state.
-          std::raise(SIGKILL);
-        }
       }
-      latest = std::move(frame);
+      return frame;
+    };
+
+    // Buffered only for a caller's sink, which receives it on success.
+    obs::RecordingSink attempt_sink;
+    StudyManagerOptions opt = base;
+    opt.obs.sink = options.obs.sink != nullptr ? &attempt_sink : nullptr;
+    opt.coordinator_crashes_to_skip = taken;
+    opt.crash_floor = target ? target->tick : util::SimTime::zero();
+    opt.on_checkpoint = [&](ManagerCheckpoint&& cp) -> bool {
+      if (target && !verified && cp.sequence == target->sequence) {
+        if (cp.tick != target->tick || cp.rebalances != target->rebalances ||
+            cp.state != target->state) {
+          return false;  // halt the replay; the ladder picks an older frame
+        }
+        verified = true;
+        ++stats.replay_verifications;
+      }
+      latest = persist(std::move(cp));
+      if (store && checkpoint.kill_after_checkpoints != 0 &&
+          ++disk_writes_this_process == checkpoint.kill_after_checkpoints) {
+        // CI crash-resume smoke: die exactly like a real coordinator crash,
+        // with the frame just written as the newest durable state.
+        std::raise(SIGKILL);
+      }
       return true;
     };
 
@@ -229,34 +198,16 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
               fin->state == target->state) {
             verified = true;
             ++stats.replay_verifications;
-            emit_recovery(recovery_sink, obs::EventKind::CoordinatorResume, fin->tick,
-                          "seq=" + std::to_string(target->sequence) + " final");
           } else {
             ++stats.checkpoint_fallbacks;
             poisoned.insert(target->sequence);
-            emit_recovery(recovery_sink, obs::EventKind::CheckpointFallback, target->tick,
-                          "divergence seq=" + std::to_string(target->sequence));
-            if (!adopt_newest_valid()) cold_restart("replay-divergence");
+            if (!adopt_newest_valid()) cold_restart();
             break;  // next attempt
           }
         }
-        if (store) {
-          // Final on-demand frame: lets a later process resume a finished run
-          // (replays to the end, verifies, and returns the same artifacts).
-          CoordinatorCheckpoint frame = inputs;
-          frame.sequence = fin->sequence;
-          frame.tick = fin->tick;
-          frame.rebalances = fin->rebalances;
-          frame.crashes_taken = taken;
-          frame.state = std::move(fin->state);
-          stats.checkpoint_bytes_last = store->write(frame);
-          stats.checkpoint_bytes_total += stats.checkpoint_bytes_last;
-          ++stats.checkpoints_written;
-          if (metrics != nullptr) {
-            metrics->counter("checkpoint.bytes").add(stats.checkpoint_bytes_last);
-            metrics->counter("checkpoint.writes").add(1);
-          }
-        }
+        // Final on-demand frame: lets a later process resume a finished run
+        // (replays to the end, verifies, and returns the same artifacts).
+        if (store) (void)persist(std::move(*fin));
         // Only the surviving incarnation's events reach the caller's sink —
         // its replay regenerates the complete deterministic stream, so trace
         // artifacts come out whole even after crashes and resumes.
@@ -281,15 +232,10 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
         return RecoverableRunResult{std::move(result), stats};
       }
       case ManagerExit::Crashed: {
-        const auto crashes = sorted_crashes(base.fault_plan);
-        const util::SimTime when = taken < crashes.size() ? crashes[taken].at
-                                                          : util::SimTime::zero();
         ++taken;
         ++stats.coordinator_crashes;
-        emit_recovery(recovery_sink, obs::EventKind::CoordinatorCrash, when,
-                      "index=" + std::to_string(taken - 1));
         // Recover from the newest usable frame; with none, replay from zero.
-        if (!adopt_newest_valid()) cold_restart("no-usable-checkpoint");
+        if (!adopt_newest_valid()) cold_restart();
         break;
       }
       case ManagerExit::Halted: {
@@ -297,13 +243,8 @@ RecoverableRunResult run_recoverable_multi_study(const std::vector<StudySpec>& s
         // re-captured state diverged from the durable frame. Poison it and
         // step down the ladder.
         ++stats.checkpoint_fallbacks;
-        if (target) {
-          poisoned.insert(target->sequence);
-          emit_recovery(recovery_sink, obs::EventKind::CheckpointFallback, target->tick,
-                        "divergence seq=" + std::to_string(target->sequence));
-        }
-        (void)diverged;
-        if (!adopt_newest_valid()) cold_restart("replay-divergence");
+        if (target) poisoned.insert(target->sequence);
+        if (!adopt_newest_valid()) cold_restart();
         break;
       }
     }

@@ -35,7 +35,6 @@
 #include "core/study/checkpoint.hpp"
 #include "core/study/study_manager.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 
 namespace hyperdrive::core {
 
@@ -51,11 +50,6 @@ struct CheckpointOptions {
   /// Testing hook (CI crash-resume smoke): raise(SIGKILL) immediately after
   /// the Nth durable checkpoint write in this process. 0 = never.
   std::size_t kill_after_checkpoints = 0;
-  /// Receives the recovery journey of THIS process (CheckpointLoaded,
-  /// CheckpointFallback, CoordinatorCrash, CoordinatorResume, ColdRestart).
-  /// Deliberately separate from the run's obs sink: recovery events describe
-  /// one concrete incarnation history and must never touch the golden trace.
-  obs::EventSink* recovery_sink = nullptr;
 };
 
 /// What recovery did, process-scoped (unlike cluster::RecoveryStats, which

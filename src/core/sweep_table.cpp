@@ -1,10 +1,10 @@
 #include "core/sweep_table.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/export.hpp"
+#include "util/atomic_file.hpp"
 #include "util/csv.hpp"
 
 namespace hyperdrive::core {
@@ -110,9 +110,7 @@ std::string SweepTable::to_csv() const {
 }
 
 void SweepTable::save_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write sweep CSV to '" + path + "'");
-  save_csv(out);
+  util::write_file(path, to_csv());
 }
 
 void SweepTable::save_timeline_csv(std::ostream& out) const {
@@ -136,9 +134,9 @@ void SweepTable::save_timeline_csv(std::ostream& out) const {
 }
 
 void SweepTable::save_timeline_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write timeline CSV to '" + path + "'");
+  std::ostringstream out;
   save_timeline_csv(out);
+  util::write_file(path, out.str());
 }
 
 }  // namespace hyperdrive::core

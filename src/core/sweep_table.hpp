@@ -51,7 +51,7 @@ class SweepTable {
   /// the thread count that produced the table.
   void save_csv(std::ostream& out) const;
   [[nodiscard]] std::string to_csv() const;
-  /// save_csv to `path`; throws std::runtime_error if unwritable.
+  /// save_csv to `path` through util::write_file (throws if the write fails).
   void save_csv_file(const std::string& path) const;
 
   /// Write every row's event stream as one timeline CSV (EXPERIMENTS.md
@@ -60,7 +60,8 @@ class SweepTable {
   /// order. Byte-deterministic across thread counts (rows land in cell
   /// order). Empty event streams contribute no rows.
   void save_timeline_csv(std::ostream& out) const;
-  /// save_timeline_csv to `path`; throws std::runtime_error if unwritable.
+  /// save_timeline_csv to `path` through util::write_file (throws if the
+  /// write fails).
   void save_timeline_csv_file(const std::string& path) const;
 };
 

@@ -142,7 +142,7 @@ class WarmStartPredictor {
 /// predictor). A predict fits every family (about 2k Nelder–Mead objective
 /// calls for a 30-epoch prefix, bound by libm pow/exp) and then draws
 /// lsq_samples curves; it is about 25x cheaper than the paper-setting MCMC
-/// predictor (bench/perf_predictor), yet still most of a pop-lsq cell.
+/// predictor (bench/tab_mcmc_samples), yet still most of a pop-lsq cell.
 /// Fits and samples are bit-identical to the scalar reference models
 /// (DESIGN.md §11). Throws std::invalid_argument for an unknown family name.
 [[nodiscard]] std::unique_ptr<CurvePredictor> make_lsq_predictor(PredictorConfig config);

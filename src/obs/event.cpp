@@ -38,11 +38,6 @@ std::string_view to_string(EventKind kind) noexcept {
     case EventKind::NodeAcquired: return "node-acquired";
     case EventKind::NodeReleased: return "node-released";
     case EventKind::CheckpointWritten: return "checkpoint-written";
-    case EventKind::CheckpointLoaded: return "checkpoint-loaded";
-    case EventKind::CheckpointFallback: return "checkpoint-fallback";
-    case EventKind::CoordinatorCrash: return "coordinator-crash";
-    case EventKind::CoordinatorResume: return "coordinator-resume";
-    case EventKind::ColdRestart: return "cold-restart";
     case EventKind::StudySubmitted: return "study-submitted";
     case EventKind::StudyAdmitted: return "study-admitted";
     case EventKind::StudyQueued: return "study-queued";

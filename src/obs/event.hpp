@@ -59,16 +59,9 @@ enum class EventKind {
   NodeAcquired,   ///< detail = "class=<name> count=N"
   NodeReleased,   ///< detail = "class=<name> count=N"
   // --- coordinator crash-recovery (DESIGN.md §12) ---------------------------
-  // CheckpointWritten rides the deterministic timeline (it fires at a sim
-  // tick in every run, interrupted or not); the rest describe one concrete
-  // process's recovery journey and are emitted only through the coordinator's
-  // recovery sink, never the golden trace.
-  CheckpointWritten,   ///< detail = "seq=<n> bytes=<n>"
-  CheckpointLoaded,    ///< detail = "seq=<n> bytes=<n>" of the adopted frame
-  CheckpointFallback,  ///< detail = why the newest frame was unusable
-  CoordinatorCrash,    ///< detail = "index=<n>" (in-sim CoordinatorCrashEvent)
-  CoordinatorResume,   ///< detail = "seq=<n>[ final]": replay caught up
-  ColdRestart,         ///< detail = reason: no usable checkpoint
+  // Rides the deterministic timeline: it fires at a sim tick in every run,
+  // interrupted or not. What recovery did is CoordinatorRecoveryStats.
+  CheckpointWritten,  ///< detail = "seq=<n> bytes=<n>"
   // --- service front-end (DESIGN.md §14) ------------------------------------
   // Wall-clock events of the hyperdrive_serve admission path; J carries the
   // submission id and they never touch a study's deterministic timeline.

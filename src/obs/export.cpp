@@ -1,10 +1,10 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
+#include <sstream>
 
+#include "util/atomic_file.hpp"
 #include "util/csv.hpp"
 
 namespace hyperdrive::obs {
@@ -73,14 +73,14 @@ void write_timeline_jsonl(std::ostream& out, std::span<const TraceEvent> events)
 }
 
 void save_timeline_file(const std::string& path, std::span<const TraceEvent> events) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write timeline to '" + path + "'");
+  std::ostringstream out;
   const bool jsonl = path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
   if (jsonl) {
     write_timeline_jsonl(out, events);
   } else {
     write_timeline_csv(out, events);
   }
+  util::write_file(path, out.str());
 }
 
 }  // namespace hyperdrive::obs

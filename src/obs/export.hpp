@@ -29,8 +29,8 @@ void write_timeline_csv(std::ostream& out, std::span<const TraceEvent> events);
 void write_timeline_jsonl(std::ostream& out, std::span<const TraceEvent> events);
 
 /// write_timeline_csv / write_timeline_jsonl to `path` (picked by extension:
-/// ".jsonl" selects JSONL, anything else CSV); throws std::runtime_error if
-/// unwritable.
+/// ".jsonl" selects JSONL, anything else CSV) through util::write_file,
+/// which throws if the write fails.
 void save_timeline_file(const std::string& path, std::span<const TraceEvent> events);
 
 }  // namespace hyperdrive::obs

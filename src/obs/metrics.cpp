@@ -1,11 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
+#include "util/atomic_file.hpp"
 #include "util/csv.hpp"
 
 namespace hyperdrive::obs {
@@ -155,9 +156,9 @@ void MetricsRegistry::write_csv(std::ostream& out) const {
 }
 
 void MetricsRegistry::save_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write metrics CSV to '" + path + "'");
+  std::ostringstream out;
   write_csv(out);
+  util::write_file(path, out.str());
 }
 
 }  // namespace hyperdrive::obs

@@ -92,7 +92,7 @@ class MetricsRegistry {
   /// Byte-deterministic given a deterministic registration order; every
   /// number goes through one fixed %.6f format.
   void write_csv(std::ostream& out) const;
-  /// write_csv to `path`; throws std::runtime_error if unwritable.
+  /// write_csv to `path` through util::write_file (throws if the write fails).
   void save_csv_file(const std::string& path) const;
 
  private:

@@ -1,9 +1,8 @@
 // obs::Scope — the one instrumentation handle threaded through construction
 // of every instrumented layer (ClusterOptions, RunnerOptions,
 // StudyManagerOptions, ServiceOptions). A default Scope is detached: emit
-// sites cost a single null-pointer test and build nothing, which is the
-// zero-overhead-when-null contract the perf_sweep_cell overhead budget holds
-// the subsystem to (DESIGN.md §10).
+// sites cost a single null-pointer test and build nothing, the
+// zero-overhead-when-null contract of DESIGN.md §10.
 //
 // Scope is a small copyable value, not an owner: the sink and registry must
 // outlive every component the scope was handed to. Events carry their own

@@ -255,6 +255,29 @@ SubmitOutcome StudyService::submit(const std::string& tenant, const std::string&
   return out;
 }
 
+bool StudyService::journal_state_locked(Submission& sub) {
+  try {
+    write_meta_locked(sub);
+    return true;
+  } catch (const std::exception& e) {
+    // The journal still holds the old state, so the new one never takes
+    // effect: the submission fails the way a run whose journal breaks does.
+    sub.state = StudyState::Failed;
+    sub.detail = std::string("run-failed: ") + e.what();
+    bump("svc.failed");
+    queued_at_ms_.erase(sub.id);
+    (void)admission_.release(sub.id);
+    (void)admission_.cancel_queued(sub.id);
+    return false;
+  }
+}
+
+bool StudyService::start_locked(Submission& sub) {
+  sub.state = StudyState::Running;
+  sub.detail.clear();
+  return journal_state_locked(sub);
+}
+
 void StudyService::launch_locked(std::uint64_t id) {
   workers_.emplace(id, std::thread(&StudyService::run_study, this, id));
 }
@@ -274,19 +297,7 @@ void StudyService::drain_locked() {
   while (auto next = admission_.next_runnable()) {
     auto it = subs_.find(*next);
     if (it == subs_.end()) continue;
-    it->second.state = StudyState::Running;
-    it->second.detail.clear();
-    try {
-      write_meta_locked(it->second);
-    } catch (const std::exception& e) {
-      // The run never starts: it fails the way a run whose journal breaks does.
-      it->second.state = StudyState::Failed;
-      it->second.detail = std::string("run-failed: ") + e.what();
-      bump("svc.failed");
-      queued_at_ms_.erase(*next);
-      (void)admission_.release(*next);
-      continue;
-    }
+    if (!start_locked(it->second)) continue;  // the run never starts
     bump("svc.admitted");
     options_.obs.emit(obs::TraceEvent(obs::EventKind::StudyAdmitted)
                           .with_job(static_cast<std::int64_t>(*next))
@@ -605,25 +616,28 @@ void StudyService::resume_scan() {
     }
     // Unfinished (queued or running when the last incarnation died):
     // re-admit in id order; the run resumes from its durable checkpoints.
+    // A journal error fails that one submission: an earlier one may already
+    // have a worker, so nothing may escape the constructor from here on.
     const AdmissionDecision decision =
         admission_.submit(id, sub.tenant, options_.machines, sub.spec.deadline);
+    Submission& entry = subs_.emplace(id, std::move(sub)).first->second;
     if (decision.verdict == AdmissionVerdict::Reject) {
-      sub.state = StudyState::Failed;
-      sub.detail = "resume rejected: " + decision.reason;
-      auto [it, ok] = subs_.emplace(id, std::move(sub));
-      (void)ok;
-      write_meta_locked(it->second);
+      entry.state = StudyState::Failed;
+      entry.detail = "resume rejected: " + decision.reason;
+      (void)journal_state_locked(entry);
       continue;
     }
-    sub.state =
-        decision.verdict == AdmissionVerdict::Run ? StudyState::Running : StudyState::Queued;
-    sub.detail = decision.verdict == AdmissionVerdict::Run ? "" : "queued";
-    auto [it, ok] = subs_.emplace(id, std::move(sub));
-    (void)ok;
-    write_meta_locked(it->second);
+    const bool run = decision.verdict == AdmissionVerdict::Run;
+    if (run) {
+      if (!start_locked(entry)) continue;
+    } else {
+      entry.state = StudyState::Queued;
+      entry.detail = "queued";
+      if (!journal_state_locked(entry)) continue;
+    }
     ++resumed_;
     bump("svc.resumed");
-    if (decision.verdict == AdmissionVerdict::Run) launch_locked(id);
+    if (run) launch_locked(id);
     else queued_at_ms_[id] = now_ms();
   }
 }

@@ -150,6 +150,14 @@ class StudyService {
   [[nodiscard]] std::string sub_dir(std::uint64_t id) const;
   void journal_locked(const Submission& sub) const;   ///< spec.study + meta
   void write_meta_locked(const Submission& sub) const;
+  /// Journals `sub`'s new state before it takes effect. If the meta write
+  /// fails, the submission fails instead: Failed with "run-failed: ...",
+  /// counted in svc.failed, its admission released. Returns whether the
+  /// write held.
+  bool journal_state_locked(Submission& sub);
+  /// Marks `sub` Running and journals that: the last step before its worker
+  /// launches, for a dequeued study and a re-admitted one alike.
+  bool start_locked(Submission& sub);
   void launch_locked(std::uint64_t id);
   /// A worker's last locked step: park its own thread handle as the exited
   /// worker and return the previously parked one, which the caller joins

@@ -108,6 +108,5 @@ std::size_t Rng::categorical(const std::vector<double>& weights) noexcept {
   return weights.size() - 1;
 }
 
-Rng Rng::fork(std::uint64_t stream) const noexcept { return Rng(derive_seed(seed_, stream)); }
 
 }  // namespace hyperdrive::util

@@ -75,9 +75,6 @@ class Rng {
     }
   }
 
-  /// Fork an independent child generator for the given stream id.
-  [[nodiscard]] Rng fork(std::uint64_t stream) const noexcept;
-
   /// Capture / restore the full state (checkpoint support).
   [[nodiscard]] RngState state() const noexcept {
     return RngState{state_, seed_, spare_normal_, has_spare_normal_};

@@ -90,44 +90,4 @@ double Ecdf::quantile(double q) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-void OnlineStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("bad histogram range");
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
 }  // namespace hyperdrive::util

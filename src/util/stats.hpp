@@ -1,7 +1,7 @@
-// Descriptive statistics used throughout the evaluation harness: percentiles
-// and quartile summaries for the paper's box plots (Fig. 7 / Fig. 9), ECDFs
-// for the duration and overhead distributions (Fig. 6 / Fig. 10 / Fig. 12c),
-// and streaming moments for overhead accounting (§6.2.3).
+// Descriptive statistics used throughout the evaluation harness: moments,
+// percentiles and quartile summaries for the paper's box plots (Fig. 7 /
+// Fig. 9), and ECDFs for the duration and overhead distributions (Fig. 6 /
+// Fig. 10 / Fig. 12c). The histogram programs export is obs::Histogram.
 #pragma once
 
 #include <cstddef>
@@ -44,44 +44,6 @@ class Ecdf {
 
  private:
   std::vector<double> sorted_;
-};
-
-/// Welford's online mean/variance — used where samples arrive one at a time
-/// (e.g. suspend latencies recorded during a live cluster run).
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// samples are clamped into the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace hyperdrive::util

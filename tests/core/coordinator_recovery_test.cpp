@@ -352,22 +352,17 @@ TEST(CoordinatorRecoveryTest, DegradedLadderFallsBackPastCorruptFrames) {
 
   obs::MetricsRegistry registry;
   preregister_checkpoint_metrics(registry);
-  obs::RecordingSink journey;
   StudyManagerOptions resume_options = mix_options(5);
   resume_options.obs.metrics = &registry;
   CheckpointOptions resume;
   resume.dir = dir.string();
   resume.resume = true;
-  resume.recovery_sink = &journey;
   const auto resumed = run_recoverable({}, resume_options, resume, fixture_admit());
 
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, 2u);
   EXPECT_EQ(resumed.recovery.checkpoint_loads, 1u);
   EXPECT_EQ(resumed.recovery.replay_verifications, 1u);
   EXPECT_EQ(resumed.recovery.cold_restarts, 0u);
-  EXPECT_EQ(journey.count(obs::EventKind::CheckpointFallback), 2u);
-  EXPECT_EQ(journey.count(obs::EventKind::CheckpointLoaded), 1u);
-  EXPECT_EQ(journey.count(obs::EventKind::CoordinatorResume), 1u);
   EXPECT_EQ(registry.counter("recovery.checkpoint_fallbacks").value(), 2u);
   EXPECT_EQ(registry.counter("recovery.replay_verifications").value(), 1u);
   expect_identical(original, resumed);
@@ -440,17 +435,14 @@ TEST(CoordinatorRecoveryTest, DivergentFrameIsRejectedByReplayVerification) {
   frame.checkpoint->state[frame.checkpoint->state.size() / 2] ^= 0x01;
   (void)store.write(*frame.checkpoint);
 
-  obs::RecordingSink journey;
   CheckpointOptions resume;
   resume.dir = dir.string();
   resume.resume = true;
-  resume.recovery_sink = &journey;
   const auto resumed = run_recoverable({}, mix_options(21), resume, fixture_admit());
 
   EXPECT_EQ(resumed.recovery.checkpoint_fallbacks, 1u);
   EXPECT_EQ(resumed.recovery.checkpoint_loads, 2u);  // tampered frame + fallback
   EXPECT_EQ(resumed.recovery.replay_verifications, 1u);
-  EXPECT_EQ(journey.count(obs::EventKind::CheckpointFallback), 1u);
   expect_identical(original, resumed);
   std::filesystem::remove_all(dir);
 }

@@ -358,70 +358,5 @@ TEST(GlobalStopCriterionTest, WorksOnClusterSubstrate) {
   EXPECT_TRUE(result.reached_target);
 }
 
-// ------------------------------------------------- multi-round search loop
-
-TEST(AdaptiveSearchLoopTest, FeedbackImprovesRounds) {
-  workload::CifarWorkloadModel model;
-  RunnerOptions options;
-  options.machines = 4;
-  options.max_experiment_time = SimTime::hours(200);
-  options.stop_on_target = false;  // measure best-found, not time-to-target
-
-  // Policies are stateful: the loop must build a fresh one every round.
-  std::size_t factory_calls = 0;
-  const auto pop = [&factory_calls] {
-    ++factory_calls;
-    return make_standard_policy("pop", 3, SimTime::hours(200));
-  };
-
-  const auto tpe = make_tpe_generator(model.space(), 5, /*warmup=*/20, 0.25, 24);
-  const auto tpe_result =
-      run_adaptive_search(model, *tpe, pop, options, /*rounds=*/4,
-                          /*configs_per_round=*/25, /*experiment_seed=*/1);
-  ASSERT_EQ(tpe_result.rounds.size(), 4u);
-  EXPECT_EQ(factory_calls, tpe_result.rounds.size());
-
-  // Adaptivity shows up in the *mean* quality of explored configurations:
-  // the last round's population must beat the (random-warmup) first round's.
-  // (Best-of-round is a max statistic and far too noisy to compare.)
-  auto mean_explored_best = [](const ExperimentResult& result) {
-    double total = 0.0;
-    std::size_t n = 0;
-    for (const auto& js : result.job_stats) {
-      if (js.epochs_completed > 0) {
-        total += js.best_perf;
-        ++n;
-      }
-    }
-    return n > 0 ? total / static_cast<double>(n) : 0.0;
-  };
-  EXPECT_GT(mean_explored_best(tpe_result.rounds.back()),
-            mean_explored_best(tpe_result.rounds.front()));
-  // Bookkeeping coherence across rounds.
-  EXPECT_GT(tpe_result.best_perf, 0.0);
-  util::SimTime summed = util::SimTime::zero();
-  for (const auto& r : tpe_result.rounds) summed += r.total_time;
-  EXPECT_EQ(summed.to_seconds(), tpe_result.total_time.to_seconds());
-}
-
-TEST(AdaptiveSearchLoopTest, StopsEarlyOnTarget) {
-  workload::CifarWorkloadModel model;
-  RunnerOptions options;
-  options.machines = 4;
-  options.max_experiment_time = SimTime::hours(200);
-  options.stop_on_target = true;
-
-  const auto fifo = [] { return make_standard_policy("default", 1); };
-
-  const auto gen = make_random_generator(model.space(), 1234);
-  const auto result = run_adaptive_search(model, *gen, fifo, options, /*rounds=*/8,
-                                          /*configs_per_round=*/40, 2);
-  if (result.reached_target) {
-    EXPECT_TRUE(result.rounds.back().reached_target);
-    EXPECT_LE(result.rounds.size(), 8u);
-  }
-  EXPECT_GT(result.total_time.to_seconds(), 0.0);
-}
-
 }  // namespace
 }  // namespace hyperdrive::core

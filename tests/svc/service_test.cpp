@@ -5,9 +5,7 @@
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
-#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +14,7 @@
 #include "core/study/coordinator.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
+#include "support/file_size_limit.hpp"
 
 namespace hyperdrive::svc {
 namespace {
@@ -137,29 +136,6 @@ TEST(SvcServiceTest, BadSpecIsRejectedWithParserMessage) {
     ADD_FAILURE() << "journaled: " << entry.path();
   }
 }
-
-/// Lowers this process's soft RLIMIT_FSIZE to `bytes` with SIGXFSZ ignored,
-/// so a write past the limit fails with EFBIG instead of killing the test;
-/// restores both on scope exit.
-class FileSizeLimit {
- public:
-  explicit FileSizeLimit(rlim_t bytes) : handler_(std::signal(SIGXFSZ, SIG_IGN)) {
-    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
-    rlimit limited = saved_;
-    limited.rlim_cur = bytes;
-    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
-  }
-  ~FileSizeLimit() {
-    ::setrlimit(RLIMIT_FSIZE, &saved_);
-    std::signal(SIGXFSZ, handler_);
-  }
-  FileSizeLimit(const FileSizeLimit&) = delete;
-  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
-
- private:
-  rlimit saved_{};
-  void (*handler_)(int);
-};
 
 TEST(SvcServiceTest, JournalWriteFailureRejectsTheSubmission) {
   // A submission the journal cannot hold whole is never acknowledged: a
@@ -332,6 +308,37 @@ TEST(SvcServiceTest, ResumeScanSkipsNonCanonicalSubmissionNames) {
   const auto info = service.status(1);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->state, StudyState::Finished);
+}
+
+TEST(SvcServiceTest, RestartFailsOnlyTheStudyWhoseMetaCannotBeRewritten) {
+  // Two unfinished journal entries, and a directory where sub-2's meta.tmp
+  // goes, so re-admitting study 2 cannot journal its Running state. Study 1
+  // already has a worker by then: the error must fail study 2 alone instead
+  // of unwinding the constructor past a joinable thread.
+  const auto dir = fresh_dir("svc_service_resume_meta_fail");
+  for (const char* name : {"sub-1", "sub-2"}) {
+    std::filesystem::create_directories(dir / name);
+    std::ofstream(dir / name / "spec.study") << kSpecAlpha;
+    std::ofstream(dir / name / "meta") << "tenant alice\nstate running\n";
+  }
+  std::filesystem::create_directories(dir / "sub-2" / "meta.tmp" / "blocker");
+
+  obs::MetricsRegistry registry;
+  preregister_service_metrics(registry);
+  ServiceOptions sopts = small_service(dir.string());
+  sopts.obs.metrics = &registry;
+  StudyService service(sopts);
+  service.wait_idle();
+  EXPECT_EQ(service.resumed_count(), 1u);
+  const auto first = service.status(1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->state, StudyState::Finished);
+  const auto second = service.status(2);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->state, StudyState::Failed);
+  EXPECT_EQ(second->detail.rfind("run-failed: ", 0), 0u) << second->detail;
+  EXPECT_EQ(registry.counter("svc.failed").value(), 1u);
+  EXPECT_EQ(service.running_count(), 0u);
 }
 
 TEST(SvcServiceTest, EmitsTypedEventsAndPinnedMetrics) {

@@ -123,50 +123,5 @@ TEST(EcdfTest, EmptyBehaviour) {
   EXPECT_THROW((void)ecdf.quantile(0.5), std::invalid_argument);
 }
 
-TEST(OnlineStatsTest, MatchesBatchComputation) {
-  Rng rng(71);
-  std::vector<double> xs;
-  OnlineStats os;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    xs.push_back(x);
-    os.add(x);
-  }
-  EXPECT_EQ(os.count(), 1000u);
-  EXPECT_NEAR(os.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(os.variance(), variance(xs), 1e-9);
-  EXPECT_DOUBLE_EQ(os.min(), min_of(xs));
-  EXPECT_DOUBLE_EQ(os.max(), max_of(xs));
-}
-
-TEST(OnlineStatsTest, SingleValue) {
-  OnlineStats os;
-  os.add(3.0);
-  EXPECT_DOUBLE_EQ(os.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(os.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(os.min(), 3.0);
-  EXPECT_DOUBLE_EQ(os.max(), 3.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(15.0);  // clamped to bin 9
-  h.add(5.0);   // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(10.0, 0.0, 5), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hyperdrive::util

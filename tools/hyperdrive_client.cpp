@@ -8,8 +8,8 @@
 //   hyperdrive_client --port 7777 result 3 --out result.csv
 //   hyperdrive_client --port 7777 shutdown
 //
-// Exit codes: 0 success, 2 usage/connection error, 3 the server said no
-// (rejected submission, unknown id, cancel refused).
+// Exit codes: 0 success, 1 a failed --out write, 2 usage/connection error,
+// 3 the server said no (rejected submission, unknown id, cancel refused).
 #include <time.h>
 
 #include <cstdio>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "svc/client.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cli_options.hpp"
 
 using namespace hyperdrive;
@@ -61,18 +62,20 @@ void print_info(const svc::StudyInfo& info) {
               info.detail.empty() ? "" : " detail=", info.detail.c_str());
 }
 
-bool write_output(const std::string& out_file, const std::string& bytes) {
+/// Prints `bytes`, or writes them to `out_file`. Returns the exit code: 0,
+/// or 1 with an `error:` line when the write fails.
+int write_output(const std::string& out_file, const std::string& bytes) {
   if (out_file.empty()) {
     std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return true;
+    return 0;
   }
-  std::ofstream out(out_file, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", out_file.c_str());
-    return false;
+  try {
+    util::write_file(out_file, bytes);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
-  out << bytes;
-  return true;
+  return 0;
 }
 
 constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
@@ -245,7 +248,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", reply.text.c_str());
         return 3;
       }
-      return write_output(out_file, reply.text) ? 0 : 2;
+      return write_output(out_file, reply.text);
     }
 
     if (command == "list") {
@@ -334,7 +337,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", reply.text.c_str());
         return 2;
       }
-      return write_output(out_file, reply.text) ? 0 : 2;
+      return write_output(out_file, reply.text);
     }
 
     if (command == "shutdown") {
