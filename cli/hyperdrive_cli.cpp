@@ -140,7 +140,7 @@ cli::Options make_options(CliConfig& config) {
   options.add("--tmax-hours", "H", "experiment time limit  [48]",
               [&config](const std::string& text) {
                 double hours = 0.0;
-                if (!cli::Options::parse_double(text, hours)) return false;
+                if (!cli::Options::parse_double(text, hours) || !(hours > 0.0)) return false;
                 config.study.tmax = util::SimTime::hours(hours);
                 return true;
               });

@@ -18,15 +18,17 @@ std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptio
       inner = curve::make_last_value_predictor(std::move(config));
       break;
   }
-  // Memoize: policies re-consult the posterior for the same (history,
-  // horizon) within a boundary round (§5.2 node-agent-side caching).
+  // Memoize for callers whose requests repeat (StudyManager's deadline
+  // arbitration re-predicts its front-runners on an unchanged grid), and for
+  // MCMC's warm posterior reuse, which lives in the decorator.
   return std::make_shared<curve::CachingPredictor>(std::move(inner), options.cache);
 }
 
 std::shared_ptr<const curve::CurvePredictor> make_default_predictor(std::uint64_t seed) {
-  PredictorOptions options;
-  options.config.lsq_samples = 200;
-  return make_predictor(options, seed);
+  curve::PredictorConfig config;
+  config.lsq_samples = 200;
+  config.seed = seed;
+  return curve::make_lsq_predictor(std::move(config));
 }
 
 ExperimentResult run_experiment(const workload::Trace& trace, SchedulingPolicy& policy,

@@ -17,29 +17,29 @@
 
 namespace hyperdrive::core {
 
-/// Predictor wiring in one place: which inner predictor to build, its
-/// configuration, and the caching/warm-start decorator options. The seed is
-/// passed separately (per experiment) and overrides `config.seed`.
+/// A cached predictor's wiring: which inner predictor to build, its
+/// configuration, and the CachingPredictor options. The seed is passed
+/// separately (per experiment) and overrides `config.seed`.
 struct PredictorOptions {
   enum class Kind { Lsq, Mcmc, LastValue };
   Kind kind = Kind::Lsq;
   curve::PredictorConfig config;
-  /// Decorator options. warm_start (now on by default, gated by the 30-seed
-  /// decision-invariance property test) only takes effect for Kind::Mcmc —
-  /// the only warm-startable predictor; for Lsq/LastValue it silently
-  /// degrades to a plain cache. See DESIGN.md §11 for the determinism
-  /// contract and the knife-edge rotation caveat.
+  /// Decorator options: an exact LRU of 512 posteriors, plus warm posterior
+  /// reuse (on by default), which only Kind::Mcmc engages; for Lsq and
+  /// LastValue the decorator is a plain cache. See DESIGN.md §11.
   curve::CachingOptions cache{/*capacity=*/512};
 };
 
-/// Build a cached predictor per `options`.
+/// Build `options`' inner predictor behind a CachingPredictor. Only callers
+/// whose requests repeat gain from the cache (DESIGN.md §11); StudyManager's
+/// deadline arbitration is the one in the program.
 [[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_predictor(
     const PredictorOptions& options, std::uint64_t seed);
 
-/// The fast LSQ-bootstrap predictor configuration used by the simulation
-/// benches (the full-MCMC predictor is available via curve::make_mcmc_predictor
-/// and is exercised by the predictor micro-bench, §5.2). Equivalent to
-/// make_predictor with default PredictorOptions.
+/// The predictor every POP and EarlyTerm policy schedules with: the bare
+/// LSQ bootstrap (curve::make_lsq_predictor, 200 samples, `seed`), with no
+/// cache. A policy predicts once per job per evaluation boundary, so no
+/// request repeats and a cache would only retain posteriors.
 [[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_default_predictor(
     std::uint64_t seed);
 

@@ -64,11 +64,15 @@ bool PopPolicy::update_belief(SchedulerOps& ops, JobId job,
   if (epoch_duration <= util::SimTime::zero()) return false;
 
   // M_i = (Tmax - Tpass) / Epoch_i, additionally capped by the epochs the
-  // job can still train (it cannot run past the workload's max epoch).
-  const auto by_time = static_cast<std::size_t>(remaining / epoch_duration);
+  // job can still train (it cannot run past the workload's max epoch). The
+  // cap is applied in double: an unbounded Tmax makes by_time +inf, which
+  // has no size_t value.
+  const double by_time = remaining / epoch_duration;
   const std::size_t by_epochs =
       ops.max_epochs() > history.size() ? ops.max_epochs() - history.size() : 0;
-  const std::size_t m_max = std::min(by_time, by_epochs);
+  const std::size_t m_max = by_time >= static_cast<double>(by_epochs)
+                                ? by_epochs
+                                : static_cast<std::size_t>(by_time);
   if (m_max == 0) {
     beliefs_[job] = JobBelief{0.0, util::SimTime::infinity(), history.size()};
     return true;

@@ -136,7 +136,7 @@ StudyManager::StudyManager(StudyManagerOptions options)
       catalog_(options_.catalog.empty()
                    ? cluster::NodeCatalog::uniform(options_.machines)
                    : options_.catalog),
-      predictor_(make_default_predictor(util::derive_seed(options.seed, 0x57D1))) {
+      predictor_(make_predictor(PredictorOptions{}, util::derive_seed(options.seed, 0x57D1))) {
   // A non-empty catalog is authoritative for the pool size (mirrors
   // ClusterOptions::catalog).
   options_.machines = catalog_.total_nodes();

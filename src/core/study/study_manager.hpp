@@ -262,6 +262,10 @@ class StudyManager {
   /// single-class catalog when that was empty. Never empty.
   cluster::NodeCatalog catalog_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
+  /// Deadline arbitration's predictor: LSQ behind the exact cache. Each tick
+  /// re-predicts up to five front-runners per study on a future grid that
+  /// depends only on the epochs done, so a job that made no progress since
+  /// the last tick repeats its request.
   std::shared_ptr<const curve::CurvePredictor> predictor_;
   /// Budget-capped capacity acquisition (created in run(); DESIGN.md §15).
   std::unique_ptr<cluster::Autoscaler> autoscaler_;

@@ -47,7 +47,9 @@ StudySpec load_study_spec(std::istream& in) {
     } else if (directive == "seed") {
       spec.seed = parser.integer("seed");
     } else if (directive == "tmax") {
-      spec.tmax = util::SimTime::seconds(parser.number("tmax"));
+      const double tmax = parser.number("tmax");
+      if (!(tmax > 0.0)) parser.fail("tmax must be positive");
+      spec.tmax = util::SimTime::seconds(tmax);
     } else if (directive == "cancel-at") {
       spec.cancel_at = util::SimTime::seconds(parser.number("cancel time"));
     } else if (directive == "budget") {

@@ -1,14 +1,15 @@
 // CachingPredictor — a memoizing decorator around any CurvePredictor.
 //
-// The Node Agents (§5.2) keep per-job curve histories locally and only
-// recompute a prediction when the job's history has grown past a new
-// evaluation boundary. Since policies may consult the predictor repeatedly
-// for the same (history, horizon) — e.g. POP's classification runs on every
-// active job's boundary — memoizing the posterior avoids redundant MCMC/LSQ
-// work. Predictors are deterministic per (config, history), so caching is
-// semantics-preserving.
+// The exact cache pays only where (history, future epochs, horizon) requests
+// repeat. Policies do not repeat them: like the Node Agents (§5.2), POP and
+// EarlyTerm predict once per job per evaluation boundary, so they use the
+// bare predictor (core::make_default_predictor). StudyManager's deadline
+// arbitration does: each tick re-predicts a study's front-runners on a grid
+// fixed by the epochs done, so it wraps its predictor here
+// (core::make_predictor). Predictors are deterministic per (config,
+// history), so caching is semantics-preserving.
 //
-// Warm-start mode (CachingOptions::warm_start, off by default): when the
+// Warm-start mode (CachingOptions::warm_start, on by default): when the
 // inner predictor implements WarmStartPredictor, the decorator also keeps an
 // LRU of final posterior walker states keyed by history. A miss for a grown
 // prefix of a previously fitted curve seeds the new fit's walkers from the

@@ -381,8 +381,10 @@ void StudyService::run_study(std::uint64_t id) {
   if (it == subs_.end()) return;
   Submission& sub = it->second;
   if (failure.empty()) {
-    sub.result_csv = std::move(result_csv);
-    sub.timeline_csv = std::move(timeline_csv);
+    if (dir.empty()) {  // durable artifacts are read back from the journal
+      sub.result_csv = std::move(result_csv);
+      sub.timeline_csv = std::move(timeline_csv);
+    }
     if (!run.result.studies.empty()) {
       const auto& r = run.result.studies.front().result;
       sub.best_perf = r.best_perf;

@@ -106,8 +106,9 @@ class StudyService {
   /// All submissions in id order; `tenant` filters when non-empty.
   [[nodiscard]] std::vector<StudyInfo> list(const std::string& tenant) const;
 
-  /// Fetch a finished submission's result/timeline CSV bytes (read back from
-  /// the journal). False + `error` for unknown ids or non-finished states.
+  /// Fetch a finished submission's result/timeline CSV bytes, read back from
+  /// the journal (held in memory only by a memory-only service). False +
+  /// `error` for unknown ids or non-finished states.
   bool artifact(std::uint64_t id, ArtifactKind kind, std::string& bytes,
                 std::string& error) const;
 
@@ -142,7 +143,8 @@ class StudyService {
     bool reached_target = false;
     double time_to_target_s = 0.0;
     double total_time_s = 0.0;
-    // Finished artifacts, cached in memory (also journaled when durable).
+    // Finished artifacts, held in memory-only mode; a durable service keeps
+    // them only in the journal and serves fetches from there.
     std::string result_csv;
     std::string timeline_csv;
   };

@@ -9,7 +9,9 @@
 #include "core/policies/default_policy.hpp"
 #include "core/policies/earlyterm_policy.hpp"
 #include "core/policies/pop_policy.hpp"
+#include "obs/sink.hpp"
 #include "sim/trace_replay.hpp"
+#include "support/timeline.hpp"
 
 namespace hyperdrive::core {
 namespace {
@@ -334,6 +336,38 @@ TEST(PopPolicyTest, RotationDisabledAblation) {
   options.stop_on_target = false;
   const auto result = sim::replay_experiment(trace, policy, options);
   EXPECT_EQ(result.suspends, 0u);
+}
+
+TEST(PopPolicyTest, UnboundedTmaxSchedulesLikeAFarFiniteOne) {
+  // With Tmax unbounded, the epochs a job can still train are the only cap on
+  // POP's prediction horizon, exactly as under a Tmax far past the run's end.
+  const auto trace = trace_from_curves({saturating(0.3, 0.95, 24, 0.15),
+                                        saturating(0.2, 0.5, 24, 0.2), flat(0.1, 24)},
+                                       0.9, 0.0, 4);
+  const auto run = [&](SimTime tmax, std::vector<std::string>& rows) {
+    PopConfig config = pop_config();
+    config.tmax = tmax;
+    PopPolicy policy(config);
+    RunnerOptions options;
+    options.substrate = Substrate::Cluster;
+    options.machines = 1;
+    options.max_experiment_time = tmax;
+    obs::RecordingSink sink;
+    options.obs.sink = &sink;
+    const ExperimentResult result = run_experiment(trace, policy, options);
+    rows = timeline(sink);
+    return result;
+  };
+  std::vector<std::string> unbounded_rows;
+  std::vector<std::string> far_rows;
+  const ExperimentResult unbounded = run(SimTime::infinity(), unbounded_rows);
+  const ExperimentResult far = run(SimTime::seconds(1e9), far_rows);
+  EXPECT_TRUE(unbounded.reached_target);
+  EXPECT_EQ(unbounded.winning_job, 1u);
+  EXPECT_EQ(unbounded.time_to_target, far.time_to_target);
+  EXPECT_EQ(unbounded.total_time, far.total_time);
+  EXPECT_EQ(unbounded.terminations, far.terminations);
+  EXPECT_EQ(unbounded_rows, far_rows);
 }
 
 TEST(PopPolicyTest, PromisingJobsGetPriorityLabels) {

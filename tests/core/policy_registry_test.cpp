@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment_runner.hpp"
 #include "core/generators/hyperparameter_generator.hpp"
@@ -145,6 +148,35 @@ TEST(PolicyRegistryTest, RegistryMatchesDirectConstructionByteForByte) {
     EXPECT_EQ(run_journal(trace, make_standard_policy(name, 7, tmax)),
               run_journal(trace, direct_policy(name, 7, tmax)))
         << name;
+  }
+}
+
+TEST(PolicyRegistryTest, DefaultPredictorIsTheBareLsqPredictor) {
+  // A policy predicts once per job per evaluation boundary, so no request
+  // repeats and the predictor it schedules with holds no cache: it is
+  // curve::make_lsq_predictor (200 samples, the seed) itself.
+  const std::vector<double> history = {0.20, 0.35, 0.45, 0.52, 0.57, 0.60, 0.62, 0.64};
+  for (const std::uint64_t seed : {1u, 7u, 0x57D1u}) {
+    const auto predictor = make_default_predictor(seed);
+    EXPECT_EQ(predictor->name(), "lsq_bootstrap");
+    curve::PredictorConfig config;
+    config.lsq_samples = 200;
+    config.seed = seed;
+    const auto reference = curve::make_lsq_predictor(config);
+    for (const std::size_t done : {4u, 6u, 8u}) {
+      const std::span<const double> prefix(history.data(), done);
+      std::vector<double> future;
+      for (std::size_t e = done + 1; e <= 40; ++e) future.push_back(static_cast<double>(e));
+      const curve::CurvePrediction got = predictor->predict(prefix, future, 40.0);
+      const curve::CurvePrediction want = reference->predict(prefix, future, 40.0);
+      ASSERT_EQ(got.num_samples(), 200u);
+      ASSERT_EQ(got.epochs(), want.epochs());
+      ASSERT_EQ(got.samples().size(), want.samples().size());
+      EXPECT_EQ(std::memcmp(got.samples().data(), want.samples().data(),
+                            got.samples().size() * sizeof(double)),
+                0)
+          << "seed " << seed << ", " << done << " epochs done";
+    }
   }
 }
 

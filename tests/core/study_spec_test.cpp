@@ -171,6 +171,15 @@ TEST(StudySpecIoTest, ErrorsCarryLineNumbers) {
   EXPECT_THROW(load("study a\nconfigs 2.5\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nweight 0\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nweight inf\n"), std::invalid_argument);
+  for (const char* tmax : {"0", "-5", "nan"}) {
+    try {
+      (void)load(std::string("study a\ntmax ") + tmax + "\n");
+      ADD_FAILURE() << "tmax '" << tmax << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: tmax must be positive"), std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(load("study a\nseed\n"), std::invalid_argument);
   EXPECT_THROW(load("study a b\n"), std::invalid_argument);  // trailing token
 }

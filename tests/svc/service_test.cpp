@@ -395,6 +395,21 @@ TEST(SvcServiceTest, MemoryOnlyServiceServesArtifactsFromCache) {
   EXPECT_FALSE(bytes.empty());
 }
 
+TEST(SvcServiceTest, DurableServiceServesArtifactsFromTheJournal) {
+  // A durable service holds no copy of a finished study's artifacts: every
+  // fetch reads the journal, so a rewritten result.csv is what comes back.
+  const auto dir = fresh_dir("svc_service_journal_fetch");
+  StudyService service(small_service(dir.string()));
+  ASSERT_TRUE(service.submit("alice", kSpecAlpha).accepted);
+  service.wait_idle();
+  std::ofstream(dir / "sub-1" / "result.csv", std::ios::binary | std::ios::trunc)
+      << "rewritten\n";
+  std::string bytes;
+  std::string error;
+  ASSERT_TRUE(service.artifact(1, ArtifactKind::ResultCsv, bytes, error)) << error;
+  EXPECT_EQ(bytes, "rewritten\n");
+}
+
 TEST(SvcServiceTest, ExitedWorkersAreJoinedAcrossManyStudies) {
   // An always-on server must not keep one thread per study ever served:
   // each exiting worker joins the previous one, so the retained handles stay
