@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "core/study/coordinator.hpp"
 #include "core/study/study_manager.hpp"
@@ -155,6 +156,14 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(ckpt_dir);
 
   const double n = static_cast<double>(repeats);
+  // A smoke run's few tens of milliseconds per arm leave its overhead to
+  // noise (even the sign varies run to run), so it prints none.
+  const auto overhead = [&](double arm_ms) {
+    if (bench_options.smoke) return std::string("-");
+    char cell[32];
+    std::snprintf(cell, sizeof cell, "%.1f", 100.0 * (arm_ms - reference_ms) / reference_ms);
+    return std::string(cell);
+  };
   std::printf("  reference (no checkpointing): %.1f ms/run, %zu repeats\n\n",
               reference_ms / n, repeats);
   std::printf("  %-14s %8s %12s %12s %12s\n", "mode", "frames", "KiB/frame",
@@ -164,14 +173,12 @@ int main(int argc, char** argv) {
     const double frames = arm.frames / n;
     char label[16];
     std::snprintf(label, sizeof label, "every %.0fs", cadences_s[c]);
-    std::printf("  %-14s %8.1f %12.1f %12.1f %9zu/%-2zu\n", label, frames,
+    std::printf("  %-14s %8.1f %12.1f %12s %9zu/%-2zu\n", label, frames,
                 frames > 0.0 ? arm.bytes_total / arm.frames / 1024.0 : 0.0,
-                100.0 * (arm.wall_ms - reference_ms) / reference_ms, arm.identical,
-                repeats);
+                overhead(arm.wall_ms).c_str(), arm.identical, repeats);
   }
-  std::printf("  %-14s %8.1f %12s %12.1f %9zu/%-2zu\n", "crash+replay",
-              crash_arm.frames / n, "-",
-              100.0 * (crash_arm.wall_ms - reference_ms) / reference_ms,
+  std::printf("  %-14s %8.1f %12s %12s %9zu/%-2zu\n", "crash+replay",
+              crash_arm.frames / n, "-", overhead(crash_arm.wall_ms).c_str(),
               crash_arm.identical, repeats);
 
   if (crash_arm.identical != repeats) {

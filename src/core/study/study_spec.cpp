@@ -38,7 +38,9 @@ StudySpec load_study_spec(std::istream& in) {
     } else if (directive == "target") {
       spec.target = parser.number("target");
     } else if (directive == "deadline") {
-      spec.deadline = util::SimTime::seconds(parser.number("deadline"));
+      const double deadline = parser.number("deadline");
+      if (!(deadline > 0.0)) parser.fail("deadline must be positive");
+      spec.deadline = util::SimTime::seconds(deadline);
     } else if (directive == "weight") {
       spec.weight = parser.number("weight");
       if (!(spec.weight > 0.0) || spec.weight == std::numeric_limits<double>::infinity()) {
@@ -51,7 +53,9 @@ StudySpec load_study_spec(std::istream& in) {
       if (!(tmax > 0.0)) parser.fail("tmax must be positive");
       spec.tmax = util::SimTime::seconds(tmax);
     } else if (directive == "cancel-at") {
-      spec.cancel_at = util::SimTime::seconds(parser.number("cancel time"));
+      const double cancel_at = parser.number("cancel time");
+      if (!(cancel_at > 0.0)) parser.fail("cancel-at must be positive");
+      spec.cancel_at = util::SimTime::seconds(cancel_at);
     } else if (directive == "budget") {
       spec.budget_usd = parser.number("budget");
       if (!(spec.budget_usd > 0.0)) parser.fail("budget must be positive");

@@ -106,13 +106,13 @@ std::vector<double> CurveEnsemble::initial_theta(std::span<const double> ys) con
   std::vector<double> mses(models_.size(), 1.0);
   double best_mse = std::numeric_limits<double>::infinity();
 
+  std::vector<FamilyFit> fits(models_.size());
+  fit_families(models_, ys, fits);
   for (std::size_t k = 0; k < models_.size(); ++k) {
-    const auto& model = *models_[k];
-    const FamilyFit fit = fit_family(model, family_of(model.name()), ys);
-    for (std::size_t d = 0; d < model.num_params(); ++d) {
-      theta[offsets_[k] + d] = fit.params[d];
+    for (std::size_t d = 0; d < models_[k]->num_params(); ++d) {
+      theta[offsets_[k] + d] = fits[k].params[d];
     }
-    mses[k] = std::isfinite(fit.mse) ? fit.mse : 1.0;
+    mses[k] = std::isfinite(fits[k].mse) ? fits[k].mse : 1.0;
     best_mse = std::min(best_mse, mses[k]);
   }
 

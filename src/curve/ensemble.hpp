@@ -73,7 +73,7 @@ class CurveEnsemble {
                                      std::span<const double> ys) const noexcept;
 
   /// Packed starting point: per-family least-squares fits (curve::
-  /// fit_family, the LSQ predictor's fitter), weights proportional to each
+  /// fit_families, the LSQ predictor's fitter), weights proportional to each
   /// family's inverse MSE, sigma from the best fit's residuals.
   /// Deterministic given ys. Throws std::invalid_argument for a family with
   /// more than kNelderMeadMaxDim parameters.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace hyperdrive::curve {
 
@@ -52,8 +55,8 @@ FamilyFit fit_with(const std::vector<ParamBounds>& box, std::span<const double> 
   return fit;
 }
 
-}  // namespace
-
+/// Fit `model` (whose table kernel is `kind`, or nullopt to evaluate through
+/// the model) to ys.
 FamilyFit fit_family(const ParametricModel& model, std::optional<Family> kind,
                      std::span<const double> ys) {
   const auto& box = model.bounds();
@@ -76,6 +79,18 @@ FamilyFit fit_family(const ParametricModel& model, std::optional<Family> kind,
         [](const EpochPoint& e, const Params& p, double h) {
           return family_eval<kF>(e, p, h);
         });
+  });
+}
+
+}  // namespace
+
+void fit_families(std::span<const std::unique_ptr<ParametricModel>> models,
+                  std::span<const double> ys, std::span<FamilyFit> fits) {
+  if (fits.size() != models.size()) {
+    throw std::invalid_argument("fit_families: one fit slot per model");
+  }
+  util::fan_out(models.size(), [&](std::size_t k) {
+    fits[k] = fit_family(*models[k], family_of(models[k]->name()), ys);
   });
 }
 

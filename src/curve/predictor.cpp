@@ -193,11 +193,9 @@ class LsqPredictor final : public CurvePredictor {
     // Per-family least-squares fit.
     auto& fits = scratch.fits;
     fits.resize(nfam);
+    fit_families(models_, history, fits);
     double best_mse = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < nfam; ++k) {
-      fits[k] = fit_family(*models_[k], kinds_[k], history);
-      best_mse = std::min(best_mse, fits[k].mse);
-    }
+    for (const FamilyFit& fit : fits) best_mse = std::min(best_mse, fit.mse);
 
     // Mixture weights via a softmax over fit quality: families that explain
     // the prefix much worse than the best get negligible weight.

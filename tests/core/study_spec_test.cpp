@@ -122,11 +122,13 @@ TEST(StudySpecIoTest, ParsesCommentsBlanksAndInf) {
       "workload lunarlander\n"
       "policy bandit\n"
       "deadline inf\n"
+      "cancel-at inf\n"
       "tmax 3600\n");
   EXPECT_EQ(spec.name, "exp-7");
   EXPECT_EQ(spec.workload, "lunarlander");
   EXPECT_EQ(spec.policy, "bandit");
   EXPECT_FALSE(spec.has_deadline());
+  EXPECT_EQ(spec.cancel_at, SimTime::infinity());
   EXPECT_EQ(spec.tmax, SimTime::seconds(3600));
 }
 
@@ -171,13 +173,18 @@ TEST(StudySpecIoTest, ErrorsCarryLineNumbers) {
   EXPECT_THROW(load("study a\nconfigs 2.5\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nweight 0\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nweight inf\n"), std::invalid_argument);
-  for (const char* tmax : {"0", "-5", "nan"}) {
-    try {
-      (void)load(std::string("study a\ntmax ") + tmax + "\n");
-      ADD_FAILURE() << "tmax '" << tmax << "' was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2: tmax must be positive"), std::string::npos)
-          << e.what();
+  for (const char* directive : {"tmax", "cancel-at", "deadline"}) {
+    for (const char* value : {"0", "-5", "nan", "-inf"}) {
+      const std::string line = std::string(directive) + " " + value;
+      try {
+        (void)load("study a\n" + line + "\n");
+        ADD_FAILURE() << "'" << line << "' was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2: " + std::string(directive) +
+                                             " must be positive"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   EXPECT_THROW(load("study a\nseed\n"), std::invalid_argument);

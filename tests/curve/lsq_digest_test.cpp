@@ -23,6 +23,7 @@
 #include "curve/parametric_models.hpp"
 #include "curve/predictor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hyperdrive::curve {
 namespace {
@@ -153,7 +154,9 @@ TEST(LsqDigestTest, ConcurrentPredictsMatchSerial) {
   // The fitter and the bootstrap table keep thread_local scratch; threads
   // sharing one predictor, each walking the requests in its own order (so
   // every thread's tables see different shapes), must neither race (the
-  // TSan job's filter includes Lsq) nor change a byte.
+  // TSan job's filter includes Lsq) nor change a byte. Plain threads fan
+  // their fits out to idle cores (util::fan_out); parallel_for workers, as
+  // in a sweep, fit inline. Both arms must match the serial samples.
   const auto predictor = make_lsq_predictor(PredictorConfig{});
   struct Request {
     std::vector<double> history, future;
@@ -169,20 +172,24 @@ TEST(LsqDigestTest, ConcurrentPredictsMatchSerial) {
     serial.push_back(fnv(kBasis, predictor->predict(r.history, r.future, 240.0).samples()));
   }
   constexpr std::size_t kThreads = 4;
-  std::vector<std::vector<std::uint64_t>> parallel(kThreads,
-                                                   std::vector<std::uint64_t>(requests.size()));
+  using Digests = std::vector<std::vector<std::uint64_t>>;
+  const auto walk = [&](std::size_t t, Digests& out) {
+    for (std::size_t j = 0; j < requests.size(); ++j) {
+      const std::size_t i = (j + t) % requests.size();
+      const auto& r = requests[i];
+      out[t][i] = fnv(kBasis, predictor->predict(r.history, r.future, 240.0).samples());
+    }
+  };
+  Digests threaded(kThreads, std::vector<std::uint64_t>(requests.size()));
   std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::size_t j = 0; j < requests.size(); ++j) {
-        const std::size_t i = (j + t) % requests.size();
-        const auto& r = requests[i];
-        parallel[t][i] = fnv(kBasis, predictor->predict(r.history, r.future, 240.0).samples());
-      }
-    });
-  }
+  for (std::size_t t = 0; t < kThreads; ++t) threads.emplace_back([&, t] { walk(t, threaded); });
   for (auto& th : threads) th.join();
-  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(parallel[t], serial) << "thread " << t;
+  Digests workers(kThreads, std::vector<std::uint64_t>(requests.size()));
+  util::parallel_for(kThreads, kThreads, [&](std::size_t t) { walk(t, workers); });
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(threaded[t], serial) << "thread " << t;
+    EXPECT_EQ(workers[t], serial) << "parallel_for worker " << t;
+  }
 }
 
 /// A family with no table kernel: y = c - a / x.

@@ -111,8 +111,9 @@ TEST(SvcServiceTest, SubmitRunFinishAndArtifactsMatchBatchMode) {
 }
 
 TEST(SvcServiceTest, BadSpecIsRejectedWithParserMessage) {
-  // Parse errors, unknown names, options the policy does not accept and
-  // malformed integers are all rejected before anything is journaled or run.
+  // Parse errors, unknown names, options the policy does not accept,
+  // malformed integers and out-of-range times are all rejected before
+  // anything is journaled or run.
   const auto dir = fresh_dir("svc_service_badspec");
   StudyService service(small_service(dir.string()));
   const std::string named = "study bad\nconfigs 4\n";
@@ -123,6 +124,7 @@ TEST(SvcServiceTest, BadSpecIsRejectedWithParserMessage) {
            named + "policy popp\n",
            named + "policy asha not-a-key=1\n",
            named + "seed -1\n",
+           named + "cancel-at -5\n",
        }) {
     const SubmitOutcome out = service.submit("alice", text);
     EXPECT_FALSE(out.accepted) << text;
