@@ -54,7 +54,15 @@ cli::Options make_options(ServeConfig& config) {
                config.max_connections);
 
   options.section("study execution (mirrors batch-mode hyperdrive_cli)");
-  options.bind("--machines", "N", "machine slots per study cluster  [4]", config.machines);
+  // Zero machines would journal every submission and then fail its run, so
+  // the flag rejects it like a malformed number.
+  options.add("--machines", "N", "machine slots per study cluster  [4]",
+              [&config](const std::string& text) {
+                std::uint64_t n = 0;
+                if (!cli::Options::parse_uint(text, n) || n == 0) return false;
+                config.machines = static_cast<std::size_t>(n);
+                return true;
+              });
   options.bind("--seed", "S", "base seed for every study manager  [1]", config.seed);
   options.bind("--checkpoint-every", "SECONDS",
                "durable checkpoint cadence per study, simulated\n"
@@ -66,7 +74,10 @@ cli::Options make_options(ServeConfig& config) {
                config.kill_after_checkpoints);
 
   options.section("admission control & per-tenant quotas (DESIGN.md \"Service\")");
-  options.bind("--max-running", "N", "concurrently running studies  [4]",
+  options.bind("--max-running", "N",
+               "concurrently running studies; 0 journals submissions\n"
+               "without running any (a restart on the same --state-dir\n"
+               "runs them)  [4]",
                config.max_running);
   options.bind("--max-queue", "N", "server-wide queue depth  [16]", config.max_queue);
   options.bind("--tenant-max-slots", "N",

@@ -945,8 +945,8 @@ void HyperDriveCluster::watchdog_tick() {
 }
 
 void HyperDriveCluster::arm_progress_deadline(ManagedJob& job) {
-  if (!options_.health.enabled || options_.health.hang_deadline_factor <= 0.0) return;
-  const util::SimTime deadline = job.epoch_expected * options_.health.hang_deadline_factor;
+  if (!options_.health.enabled) return;
+  const util::SimTime deadline = job.epoch_expected * kHangDeadlineFactor;
   job.deadline_armed = true;
   job.progress_deadline = simulation_.schedule_after(
       deadline, [this, id = job.id, inc = job.incarnation] { on_progress_deadline(id, inc); });
@@ -970,7 +970,7 @@ void HyperDriveCluster::on_progress_deadline(core::JobId id, std::uint64_t incar
   record(obs::TraceEvent(obs::EventKind::HangDetected)
              .with_job(static_cast<std::int64_t>(id))
              .with_machine(static_cast<std::int64_t>(m)));
-  // The epoch made no observable progress for hang_deadline_factor x its
+  // The epoch made no observable progress for kHangDeadlineFactor x its
   // expected duration: presume the node wedged. Snapshot-rollback migration
   // (the PR-1 crash path — the hung node cannot serve a clean suspend) plus
   // quarantine of the host.

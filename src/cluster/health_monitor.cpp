@@ -24,9 +24,6 @@ HealthMonitor::HealthMonitor(std::size_t machines, HealthOptions options)
     if (options_.watchdog_intervals == 0) {
       throw std::invalid_argument("HealthOptions: watchdog_intervals must be >= 1");
     }
-    if (options_.ewma_alpha <= 0.0 || options_.ewma_alpha > 1.0) {
-      throw std::invalid_argument("HealthOptions: ewma_alpha must be in (0, 1]");
-    }
   }
 }
 
@@ -63,11 +60,11 @@ HealthMonitor::Transition HealthMonitor::note_epoch(MachineId machine,
       observed > util::SimTime::zero()
           ? std::clamp(expected.to_seconds() / observed.to_seconds(), 0.0, 2.0)
           : 1.0;
-  n.score = (1.0 - options_.ewma_alpha) * n.score + options_.ewma_alpha * obs;
+  n.score = (1.0 - kSpeedEwmaAlpha) * n.score + kSpeedEwmaAlpha * obs;
 
   switch (n.state) {
     case NodeHealth::Healthy: {
-      if (n.score < options_.slow_speed) {
+      if (n.score < core::SchedulerOps::kSlowHostSpeed) {
         ++n.slow_strikes;
         ++stats_.slow_strikes;
         if (n.slow_strikes >= options_.quarantine_strikes) {
@@ -83,7 +80,7 @@ HealthMonitor::Transition HealthMonitor::note_epoch(MachineId machine,
       // Probation judges the raw per-epoch observation, not the EWMA: the
       // score still carries the pre-quarantine slowness, and a recovered
       // node must not be re-quarantined for its history.
-      if (obs < options_.slow_speed) {
+      if (obs < core::SchedulerOps::kSlowHostSpeed) {
         force_quarantine(machine);
         return Transition::Quarantine;
       }

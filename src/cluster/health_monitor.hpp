@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cluster/resource_manager.hpp"
+#include "core/sap.hpp"
 #include "util/sim_time.hpp"
 
 namespace hyperdrive::cluster {
@@ -52,6 +53,12 @@ struct Heartbeat {
   util::SimTime sent_at = util::SimTime::zero();
 };
 
+/// EWMA smoothing for the speed score (higher = reacts faster).
+inline constexpr double kSpeedEwmaAlpha = 0.4;
+/// A job whose epoch exceeds this many times its expected duration is
+/// presumed hung: the progress deadline fires and the job is migrated.
+inline constexpr double kHangDeadlineFactor = 6.0;
+
 struct HealthOptions {
   /// Master switch: off = no heartbeats, no watchdog, no quarantine, no
   /// speed normalization — byte-for-byte the pre-health cluster.
@@ -60,20 +67,13 @@ struct HealthOptions {
   /// Missed consecutive heartbeats before a node is declared Suspect; a node
   /// silent for twice this long escalates Suspect -> Quarantined.
   std::size_t watchdog_intervals = 3;
-  /// EWMA smoothing for the speed score (higher = reacts faster).
-  double ewma_alpha = 0.4;
-  /// Score below this marks an epoch "slow" (a strike); also the threshold
-  /// POP uses to prefer migration over termination.
-  double slow_speed = 0.6;
-  /// Consecutive slow epochs before quarantine.
+  /// Consecutive slow epochs (speed score below
+  /// core::SchedulerOps::kSlowHostSpeed) before quarantine.
   std::size_t quarantine_strikes = 3;
   /// How long a quarantined node sits out before probation.
   util::SimTime probation_after = util::SimTime::minutes(20.0);
   /// Nominal-speed epochs a probation node must complete to be reinstated.
   std::size_t reinstate_epochs = 2;
-  /// A job whose epoch exceeds `hang_deadline_factor` x its expected duration
-  /// is presumed hung: the progress deadline fires and the job is migrated.
-  double hang_deadline_factor = 6.0;
 };
 
 struct HealthStats {
@@ -135,9 +135,9 @@ class HealthMonitor {
   [[nodiscard]] bool is_excluded(MachineId machine) const { return node(machine).excluded; }
   /// EWMA speed score in (0, ~1]; 1.0 = nominal speed. Starts optimistic.
   [[nodiscard]] double speed_score(MachineId machine) const;
-  /// Below the slow_speed threshold (the "treat as degraded" predicate).
+  /// Below the slow-host threshold (the "treat as degraded" predicate).
   [[nodiscard]] bool degraded(MachineId machine) const {
-    return speed_score(machine) < options_.slow_speed;
+    return speed_score(machine) < core::SchedulerOps::kSlowHostSpeed;
   }
 
  private:

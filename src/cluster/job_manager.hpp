@@ -52,7 +52,7 @@ struct ManagedJob {
   /// Expected (pre-degradation) duration of the epoch in flight; baseline for
   /// the speed score and the progress deadline.
   util::SimTime epoch_expected = util::SimTime::zero();
-  /// Straggler watchdog: fires when an epoch runs hang_deadline_factor x its
+  /// Straggler watchdog: fires when an epoch runs kHangDeadlineFactor x its
   /// expected duration without completing; cancelled on completion/interrupt.
   sim::EventHandle progress_deadline = 0;
   bool deadline_armed = false;

@@ -151,7 +151,7 @@ void MessageBus::attempt(std::uint64_t seq) {
 
   tx.timeout_event = simulation_.schedule_after(
       util::SimTime::seconds(tx.timeout_s), [this, seq] { on_ack_timeout(seq); });
-  tx.timeout_s *= options_.reliability.backoff;
+  tx.timeout_s *= kRetransmitBackoff;
 }
 
 void MessageBus::deliver(const Message& message, bool reliable) {

@@ -69,12 +69,15 @@ struct Message {
   std::uint64_t seq = 0;
 };
 
+/// Retransmit-timeout growth per attempt (exponential backoff).
+inline constexpr double kRetransmitBackoff = 2.0;
+
 /// Ack-based retransmission parameters (only used when `enabled`).
 struct ReliabilityOptions {
   bool enabled = false;
-  /// Initial retransmit timeout; doubles (x backoff) after every attempt.
+  /// Initial retransmit timeout; doubles (x kRetransmitBackoff) after every
+  /// attempt.
   double ack_timeout_s = 0.25;
-  double backoff = 2.0;
   /// Total delivery attempts (first send + retries) before giving up.
   std::size_t max_attempts = 8;
 };

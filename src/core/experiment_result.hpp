@@ -64,7 +64,7 @@ struct RecoveryStats {
   std::size_t nodes_quarantined = 0;
   /// Quarantined nodes that served probation and rejoined at nominal speed.
   std::size_t nodes_reinstated = 0;
-  /// Progress-deadline expiries (an epoch ran hang_deadline_factor x longer
+  /// Progress-deadline expiries (an epoch ran kHangDeadlineFactor x longer
   /// than expected and the job was presumed hung).
   std::size_t hung_jobs_detected = 0;
   /// Ground-truth oracle (fault injector knowledge, not observable by the

@@ -84,8 +84,8 @@ struct PopConfig {
   /// changes nothing there.
   bool speed_aware = true;
   /// Host speed score below which a node counts as degraded for the
-  /// migrate-not-kill rules (mirror of HealthOptions::slow_speed).
-  double degraded_speed = 0.6;
+  /// migrate-not-kill rules.
+  double degraded_speed = SchedulerOps::kSlowHostSpeed;
   /// Model-owner rule evaluated first at every iteration (§2.1 / §9 "model-
   /// owner-defined metrics and inputs"): may force a decision (e.g. kill a
   /// job whose secondary metric proves it cannot meet a sparsity goal) or

@@ -95,8 +95,12 @@ class SchedulerOps {
   // Substrates without a health layer inherit the defaults (a perfectly
   // healthy, homogeneous cluster — the paper's testbed assumption), so
   // existing policies and test fakes compile and behave unchanged.
-  /// EWMA speed score of the job's current host: 1.0 = nominal, below the
-  /// monitor's slow threshold = degraded. 1.0 for jobs not running.
+  /// Speed score below which a host counts as degraded: the health monitor
+  /// counts an epoch scored below it as a slow strike, and POP migrates
+  /// rather than kills a job on such a host (PopConfig::degraded_speed).
+  static constexpr double kSlowHostSpeed = 0.6;
+  /// EWMA speed score of the job's current host: 1.0 = nominal, below
+  /// kSlowHostSpeed = degraded. 1.0 for jobs not running.
   [[nodiscard]] virtual double host_speed(JobId job) const;
   /// avg_epoch_duration with each epoch normalized to nominal node speed —
   /// what the epoch *would* have cost on a healthy machine. Policies that

@@ -21,6 +21,9 @@ constexpr std::uint32_t kMagic = 0x4844434BU;
 // v2: elastic-capacity fields (node catalog text + budget, DESIGN.md §15).
 constexpr std::uint32_t kVersion = 2;
 
+// Slots of options that became constants carry those constants, and the
+// retired max_time and flag slots fixed values, so v2 frames keep their
+// bytes; read_options reads and discards all of them.
 void write_options(util::ByteWriter& w, const StudyManagerOptions& o) {
   w.u64(o.machines);
   std::ostringstream catalog;
@@ -29,23 +32,23 @@ void write_options(util::ByteWriter& w, const StudyManagerOptions& o) {
   w.f64(o.budget_usd);
   w.u8(static_cast<std::uint8_t>(o.arbitration));
   w.f64(o.arbitration_interval.to_seconds());
-  w.f64(o.max_time.to_seconds());
-  w.u8(0);  // retired flag byte (the string event log), kept so v2 frames keep their bytes
+  w.f64(util::SimTime::infinity().to_seconds());  // retired max_time: no hard stop
+  w.u8(0);  // retired flag byte (the string event log)
   w.u64(o.seed);
-  w.u64(o.deadline_boost_slots);
-  w.f64(o.deadline_confidence);
+  w.u64(kDeadlineBoostSlots);
+  w.f64(kDeadlineConfidence);
   w.f64(o.epoch_jitter_sigma);
   w.f64(o.checkpoint_every.to_seconds());
   const cluster::HealthOptions& h = o.health;
   w.u8(h.enabled ? 1 : 0);
   w.f64(h.heartbeat_interval.to_seconds());
   w.u64(h.watchdog_intervals);
-  w.f64(h.ewma_alpha);
-  w.f64(h.slow_speed);
+  w.f64(cluster::kSpeedEwmaAlpha);
+  w.f64(SchedulerOps::kSlowHostSpeed);
   w.u64(h.quarantine_strikes);
   w.f64(h.probation_after.to_seconds());
   w.u64(h.reinstate_epochs);
-  w.f64(h.hang_deadline_factor);
+  w.f64(cluster::kHangDeadlineFactor);
 }
 
 bool read_options(util::ByteReader& r, StudyManagerOptions& o) {
@@ -67,13 +70,11 @@ bool read_options(util::ByteReader& r, StudyManagerOptions& o) {
   o.arbitration = static_cast<ArbitrationMode>(b);
   if (!r.f64(d)) return false;
   o.arbitration_interval = util::SimTime::seconds(d);
-  if (!r.f64(d)) return false;
-  o.max_time = util::SimTime::seconds(d);
-  if (!r.u8(b)) return false;  // retired flag byte, always zero
+  if (!r.f64(d)) return false;  // retired max_time
+  if (!r.u8(b)) return false;   // retired flag byte
   if (!r.u64(o.seed)) return false;
-  if (!r.u64(u)) return false;
-  o.deadline_boost_slots = static_cast<std::size_t>(u);
-  if (!r.f64(o.deadline_confidence)) return false;
+  if (!r.u64(u)) return false;  // kDeadlineBoostSlots
+  if (!r.f64(d)) return false;  // kDeadlineConfidence
   if (!r.f64(o.epoch_jitter_sigma)) return false;
   if (!r.f64(d)) return false;
   o.checkpoint_every = util::SimTime::seconds(d);
@@ -84,16 +85,15 @@ bool read_options(util::ByteReader& r, StudyManagerOptions& o) {
   h.heartbeat_interval = util::SimTime::seconds(d);
   if (!r.u64(u)) return false;
   h.watchdog_intervals = static_cast<std::size_t>(u);
-  if (!r.f64(h.ewma_alpha)) return false;
-  if (!r.f64(h.slow_speed)) return false;
+  if (!r.f64(d)) return false;  // kSpeedEwmaAlpha
+  if (!r.f64(d)) return false;  // kSlowHostSpeed
   if (!r.u64(u)) return false;
   h.quarantine_strikes = static_cast<std::size_t>(u);
   if (!r.f64(d)) return false;
   h.probation_after = util::SimTime::seconds(d);
   if (!r.u64(u)) return false;
   h.reinstate_epochs = static_cast<std::size_t>(u);
-  if (!r.f64(h.hang_deadline_factor)) return false;
-  return true;
+  return r.f64(d);  // kHangDeadlineFactor
 }
 
 }  // namespace

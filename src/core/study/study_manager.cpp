@@ -244,7 +244,7 @@ util::SimTime StudyManager::estimate_time_to_target(const Tenant& tenant) const 
         predictor_->predict(history, future, static_cast<double>(max_epochs));
     if (prediction.empty()) continue;
     for (std::size_t idx = 0; idx < prediction.epochs().size(); ++idx) {
-      if (prediction.prob_reached_by(idx, target) < options_.deadline_confidence) continue;
+      if (prediction.prob_reached_by(idx, target) < kDeadlineConfidence) continue;
       const double remaining_epochs = prediction.epochs()[idx] - static_cast<double>(done);
       const auto t = util::SimTime::seconds(remaining_epochs * epoch_duration.to_seconds());
       if (t < best) best = t;
@@ -300,7 +300,7 @@ void StudyManager::apply_deadline_boost(std::vector<std::size_t>& targets) {
   std::stable_sort(urgent.begin(), urgent.end(),
                    [](const Info* a, const Info* b) { return a->slack_s < b->slack_s; });
   for (Info* u : urgent) {
-    for (std::size_t k = 0; k < options_.deadline_boost_slots; ++k) {
+    for (std::size_t k = 0; k < kDeadlineBoostSlots; ++k) {
       // Donate from the study closest to its own target — its slots flow
       // back to the pool soonest anyway, so slowing it barely moves the
       // run's makespan. Ties go to the most slack, then to the biggest
@@ -627,7 +627,7 @@ MultiStudyResult StudyManager::run() {
     }
   }
 
-  sim_->run_until(options_.max_time);
+  sim_->run();
 
   if (exit_ != ManagerExit::Completed) {
     // Crashed (CoordinatorCrashEvent) or halted (checkpoint sink veto): this

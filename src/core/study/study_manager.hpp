@@ -101,10 +101,16 @@ struct ManagerCheckpoint {
 
 /// How a StudyManager::run ended.
 enum class ManagerExit {
-  Completed,  ///< every study finished (or max_time truncated the run)
+  Completed,  ///< every study finished
   Crashed,    ///< a CoordinatorCrashEvent killed the coordinator mid-run
   Halted,     ///< the on_checkpoint sink returned false (replay divergence)
 };
+
+/// DeadlineAware: slots transferred to an urgent study per tick.
+inline constexpr std::size_t kDeadlineBoostSlots = 2;
+/// Curve-prediction urgency threshold: a study is urgent when the first
+/// epoch with P(target reached) >= this confidence lands past the deadline.
+inline constexpr double kDeadlineConfidence = 0.5;
 
 struct StudyManagerOptions {
   /// Total machine slots shared by all studies.
@@ -120,14 +126,7 @@ struct StudyManagerOptions {
   ArbitrationMode arbitration = ArbitrationMode::FairShare;
   /// Cadence of the rebalancing tick (FairShare / DeadlineAware only).
   util::SimTime arbitration_interval = util::SimTime::minutes(10);
-  /// Hard stop for the whole multi-study run (per-study Tmax still applies).
-  util::SimTime max_time = util::SimTime::infinity();
   std::uint64_t seed = 1;
-  /// DeadlineAware: slots transferred to an urgent study per tick.
-  std::size_t deadline_boost_slots = 2;
-  /// Curve-prediction urgency threshold: a study is urgent when the first
-  /// epoch with P(target reached) >= this confidence lands past the deadline.
-  double deadline_confidence = 0.5;
   double epoch_jitter_sigma = 0.04;
   /// Gray-failure detection & mitigation, applied to every tenant.
   cluster::HealthOptions health;
@@ -165,7 +164,7 @@ struct StudyOutcome {
 
 struct MultiStudyResult {
   std::vector<StudyOutcome> studies;
-  /// When the last study finished (or the manager's max_time).
+  /// When the last study finished.
   util::SimTime total_time = util::SimTime::zero();
   /// Arbitration ticks that actually changed at least one lease target.
   std::size_t rebalances = 0;

@@ -35,7 +35,6 @@ void BatchEvaluator::reset(const CurveEnsemble& ensemble) {
   dim_ = ensemble.dim();
   weight_offset_ = ensemble.weight_offset();
   horizon_ = ensemble.horizon();
-  prior_ = ensemble.prior();
   const std::size_t nfam = ensemble.num_models();
   families_.clear();
   families_.reserve(nfam);
@@ -110,7 +109,7 @@ double BatchEvaluator::log_prob_impl(std::span<const double> theta,
   }
   if (weight_total <= 1e-12) return kNegInf;
   const double log_sigma = theta[dim_ - 1];
-  if (log_sigma < prior_.log_sigma_lo || log_sigma > prior_.log_sigma_hi) return kNegInf;
+  if (log_sigma < kPriorLogSigmaLo || log_sigma > kPriorLogSigmaHi) return kNegInf;
 
   // Early-rejection bound: every likelihood term is
   //   -0.5 * (r^2 * inv_var + kLog2Pi) - log_sigma  <=  t_max
@@ -157,7 +156,7 @@ double BatchEvaluator::log_prob_impl(std::span<const double> theta,
   double ll = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double f = eval_slot(i, theta);
-    if (!std::isfinite(f) || f < prior_.y_lo || f > prior_.y_hi) return kNegInf;
+    if (!std::isfinite(f) || f < kPriorYLo || f > kPriorYHi) return kNegInf;
     const double r = ys_[i] - f;
     ll += -0.5 * (r * r * inv_var + kLog2Pi) - log_sigma;
     if (cutoff != nullptr) {
@@ -167,11 +166,8 @@ double BatchEvaluator::log_prob_impl(std::span<const double> theta,
     }
   }
   const double f_end = eval_slot(n, theta);
-  if (!std::isfinite(f_end) || f_end < prior_.y_lo || f_end > prior_.y_hi) return kNegInf;
-  if (prior_.require_non_collapsing && n > 0 &&
-      f_end < ys_.back() - prior_.max_decrease) {
-    return kNegInf;
-  }
+  if (!std::isfinite(f_end) || f_end < kPriorYLo || f_end > kPriorYHi) return kNegInf;
+  if (n > 0 && f_end < ys_.back() - kPriorMaxDecrease) return kNegInf;
   return ll;  // log_prior contributes exactly 0.0 inside the support
 }
 
@@ -229,7 +225,7 @@ void BatchEvaluator::log_prob_batch(std::span<const double> thetas, std::size_t 
     }
     if (ok && weight_total <= 1e-12) ok = false;
     const double log_sigma = th[dim_ - 1];
-    if (ok && (log_sigma < prior_.log_sigma_lo || log_sigma > prior_.log_sigma_hi)) {
+    if (ok && (log_sigma < kPriorLogSigmaLo || log_sigma > kPriorLogSigmaHi)) {
       ok = false;
     }
     double wsum = 0.0;
@@ -290,7 +286,7 @@ void BatchEvaluator::log_prob_batch(std::span<const double> thetas, std::size_t 
       for (std::size_t r = 0; r < rows; ++r) {
         if (!live_[r]) continue;
         const double f = acc_[r];
-        if (!std::isfinite(f) || f < prior_.y_lo || f > prior_.y_hi) {
+        if (!std::isfinite(f) || f < kPriorYLo || f > kPriorYHi) {
           out[r] = kNegInf;
           live_[r] = 0;
           continue;
@@ -302,9 +298,8 @@ void BatchEvaluator::log_prob_batch(std::span<const double> thetas, std::size_t 
       for (std::size_t r = 0; r < rows; ++r) {
         if (!live_[r]) continue;
         const double f_end = acc_[r];
-        if (!std::isfinite(f_end) || f_end < prior_.y_lo || f_end > prior_.y_hi ||
-            (prior_.require_non_collapsing && n > 0 &&
-             f_end < ys_.back() - prior_.max_decrease)) {
+        if (!std::isfinite(f_end) || f_end < kPriorYLo || f_end > kPriorYHi ||
+            (n > 0 && f_end < ys_.back() - kPriorMaxDecrease)) {
           out[r] = kNegInf;
           live_[r] = 0;
           continue;

@@ -43,7 +43,7 @@ class BatchEvaluator final : public LogProbFn {
   explicit BatchEvaluator(const CurveEnsemble& ensemble) { reset(ensemble); }
 
   /// Capture the ensemble's layout (family kinds, parameter offsets, flat
-  /// bounds, prior). The ensemble must outlive this evaluator. Reusable:
+  /// bounds). The ensemble must outlive this evaluator. Reusable:
   /// scratch capacity carries over from the previous reset.
   void reset(const CurveEnsemble& ensemble);
 
@@ -93,7 +93,6 @@ class BatchEvaluator final : public LogProbFn {
   std::size_t dim_ = 0;
   std::size_t weight_offset_ = 0;
   double horizon_ = 0.0;
-  EnsemblePrior prior_;
 
   // bind() state: the observed prefix and per-epoch tables. Slot i holds
   // epoch i+1 for i < ys_.size(); the last slot holds the horizon.

@@ -15,8 +15,8 @@ constexpr double kLog2Pi = 1.8378770664093453;
 }  // namespace
 
 CurveEnsemble::CurveEnsemble(std::vector<std::unique_ptr<ParametricModel>> models,
-                             double horizon, EnsemblePrior prior)
-    : models_(std::move(models)), horizon_(horizon), prior_(prior) {
+                             double horizon)
+    : models_(std::move(models)), horizon_(horizon) {
   if (models_.empty()) throw std::invalid_argument("CurveEnsemble needs at least one model");
   if (!(horizon_ >= 1.0)) throw std::invalid_argument("horizon must be >= 1");
   offsets_.reserve(models_.size());
@@ -64,18 +64,16 @@ double CurveEnsemble::log_prior(std::span<const double> theta,
   }
   if (weight_sum <= 1e-12) return kNegInf;
   const double log_sigma = theta[sigma_offset()];
-  if (log_sigma < prior_.log_sigma_lo || log_sigma > prior_.log_sigma_hi) return kNegInf;
+  if (log_sigma < kPriorLogSigmaLo || log_sigma > kPriorLogSigmaHi) return kNegInf;
 
   // Curve sanity at observed epochs and at the horizon.
   for (std::size_t i = 0; i < ys.size(); ++i) {
     const double f = eval(static_cast<double>(i + 1), theta);
-    if (!std::isfinite(f) || f < prior_.y_lo || f > prior_.y_hi) return kNegInf;
+    if (!std::isfinite(f) || f < kPriorYLo || f > kPriorYHi) return kNegInf;
   }
   const double f_end = eval(horizon_, theta);
-  if (!std::isfinite(f_end) || f_end < prior_.y_lo || f_end > prior_.y_hi) return kNegInf;
-  if (prior_.require_non_collapsing && !ys.empty()) {
-    if (f_end < ys.back() - prior_.max_decrease) return kNegInf;
-  }
+  if (!std::isfinite(f_end) || f_end < kPriorYLo || f_end > kPriorYHi) return kNegInf;
+  if (!ys.empty() && f_end < ys.back() - kPriorMaxDecrease) return kNegInf;
   return 0.0;
 }
 
@@ -152,8 +150,8 @@ std::vector<double> CurveEnsemble::jitter(std::span<const double> center, util::
   }
   auto& ls = theta[sigma_offset()];
   ls += rng.normal(0.0, scale);
-  if (ls < prior_.log_sigma_lo || ls > prior_.log_sigma_hi) {
-    ls = rng.uniform(prior_.log_sigma_lo, prior_.log_sigma_hi);
+  if (ls < kPriorLogSigmaLo || ls > kPriorLogSigmaHi) {
+    ls = rng.uniform(kPriorLogSigmaLo, kPriorLogSigmaHi);
   }
   return theta;
 }

@@ -13,9 +13,9 @@
 //   * log_sigma in [log 1e-4, log 0.5],
 //   * the latent curve must be finite and inside [-0.05, 1.10] at every
 //     observed epoch and at the prediction horizon,
-//   * optionally (on by default) non-collapsing: f(horizon) must not fall
-//     more than `max_decrease` below the last observation — the Domhan prior
-//     that curves do not regress, relaxed enough for noisy RL rewards.
+//   * non-collapsing: f(horizon) must not fall more than kPriorMaxDecrease
+//     below the last observation — the Domhan prior that curves do not
+//     regress, relaxed enough for noisy RL rewards.
 #pragma once
 
 #include <memory>
@@ -26,26 +26,24 @@
 
 namespace hyperdrive::curve {
 
-struct EnsemblePrior {
-  double log_sigma_lo = -9.2103403719761836;  // log(1e-4)
-  double log_sigma_hi = -0.6931471805599453;  // log(0.5)
-  double y_lo = -0.05;                        ///< latent curve lower sanity bound
-  double y_hi = 1.10;                         ///< latent curve upper sanity bound
-  bool require_non_collapsing = true;
-  double max_decrease = 0.10;  ///< allowed drop from last observation to horizon
-};
+// The prior's support, shared by the scalar path, BatchEvaluator's fused
+// kernels and the LSQ predictor's sample clamp.
+inline constexpr double kPriorLogSigmaLo = -9.2103403719761836;  // log(1e-4)
+inline constexpr double kPriorLogSigmaHi = -0.6931471805599453;  // log(0.5)
+inline constexpr double kPriorYLo = -0.05;  ///< latent curve lower sanity bound
+inline constexpr double kPriorYHi = 1.10;   ///< latent curve upper sanity bound
+/// Allowed drop from the last observation to the horizon.
+inline constexpr double kPriorMaxDecrease = 0.10;
 
 class CurveEnsemble {
  public:
   /// Takes ownership of the families. horizon is the largest epoch index the
   /// model will ever be asked to predict (used by the prior checks).
-  CurveEnsemble(std::vector<std::unique_ptr<ParametricModel>> models, double horizon,
-                EnsemblePrior prior = {});
+  CurveEnsemble(std::vector<std::unique_ptr<ParametricModel>> models, double horizon);
 
   [[nodiscard]] std::size_t num_models() const noexcept { return models_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] double horizon() const noexcept { return horizon_; }
-  [[nodiscard]] const EnsemblePrior& prior() const noexcept { return prior_; }
   [[nodiscard]] const ParametricModel& model(std::size_t k) const { return *models_.at(k); }
 
   /// Offset of family k's parameter block inside the packed vector.
@@ -90,7 +88,6 @@ class CurveEnsemble {
   std::size_t weight_offset_ = 0;
   std::size_t dim_ = 0;
   double horizon_ = 0.0;
-  EnsemblePrior prior_;
 };
 
 }  // namespace hyperdrive::curve

@@ -10,23 +10,8 @@ namespace hyperdrive::curve {
 
 namespace {
 
-/// Adapter so the legacy std::function entry point shares the sampler core.
-/// A reusable member vector keeps the per-proposal copy allocation-free
-/// after the first call.
-class FunctionLogProb final : public LogProbFn {
- public:
-  explicit FunctionLogProb(const std::function<double(const std::vector<double>&)>& fn)
-      : fn_(fn) {}
-
-  [[nodiscard]] double log_prob(std::span<const double> theta) override {
-    scratch_.assign(theta.begin(), theta.end());
-    return fn_(scratch_);
-  }
-
- private:
-  const std::function<double(const std::vector<double>&)>& fn_;
-  std::vector<double> scratch_;
-};
+/// Goodman–Weare stretch parameter a: proposals scale by z in [1/a, a].
+constexpr double kStretchA = 2.0;
 
 void validate_walker_count(std::size_t nwalkers, std::size_t dim) {
   // The documented Goodman–Weare constraint: even and >= max(4, 2 * dim).
@@ -87,7 +72,6 @@ McmcResult run_impl(LogProbFn& fn, std::vector<double> walkers, std::size_t dim,
 
   std::size_t accepted = 0, proposed = 0;
   std::vector<double> candidate(dim);
-  const double a = opts.stretch_a;
 
   for (std::size_t step = 0; step < opts.nsamples; ++step) {
     for (std::size_t i = 0; i < nwalkers; ++i) {
@@ -98,7 +82,7 @@ McmcResult run_impl(LogProbFn& fn, std::vector<double> walkers, std::size_t dim,
 
       // Stretch move: z ~ g(z) with g(z) ∝ 1/sqrt(z) on [1/a, a].
       const double u = rng.uniform();
-      const double sqrt_a = std::sqrt(a);
+      const double sqrt_a = std::sqrt(kStretchA);
       const double z_sqrt = (1.0 / sqrt_a) + u * (sqrt_a - 1.0 / sqrt_a);
       const double z = z_sqrt * z_sqrt;
 
@@ -136,21 +120,6 @@ McmcResult run_impl(LogProbFn& fn, std::vector<double> walkers, std::size_t dim,
 }
 
 }  // namespace
-
-McmcResult run_ensemble_mcmc(
-    const std::function<double(const std::vector<double>&)>& log_prob,
-    std::vector<std::vector<double>> walkers, const McmcOptions& opts, util::Rng& rng) {
-  if (walkers.empty()) throw std::invalid_argument("ensemble MCMC: no walkers");
-  const std::size_t dim = walkers.front().size();
-  std::vector<double> flat;
-  flat.reserve(walkers.size() * dim);
-  for (const auto& w : walkers) {
-    if (w.size() != dim) throw std::invalid_argument("walker dimension mismatch");
-    flat.insert(flat.end(), w.begin(), w.end());
-  }
-  FunctionLogProb fn(log_prob);
-  return run_impl(fn, std::move(flat), dim, opts, rng);
-}
 
 McmcResult run_ensemble_mcmc(LogProbFn& log_prob, std::vector<double> initial_walkers,
                              std::size_t dim, const McmcOptions& opts, util::Rng& rng) {

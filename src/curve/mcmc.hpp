@@ -4,7 +4,6 @@
 // (§5.2 "Reduce total MCMC samples").
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,7 +18,6 @@ struct McmcOptions {
   std::size_t nsamples = 700;   ///< steps per walker (the paper's reduced setting)
   std::size_t burn_in = 200;    ///< steps discarded from the front
   std::size_t thin = 10;        ///< keep every `thin`-th post-burn-in step
-  double stretch_a = 2.0;       ///< Goodman–Weare stretch parameter
 };
 
 struct McmcResult {
@@ -52,10 +50,10 @@ struct AcceptanceCutoff {
   double log_u = 0.0;     ///< log(u + 1e-300), the acceptance draw
 };
 
-/// Log-probability evaluator for the batched sampler overload. `log_prob`
-/// must be a pure function of theta returning -inf outside the support; the
-/// batch call must produce exactly the per-row scalar results (the default
-/// implementation just loops — override it to amortize work across rows).
+/// Log-probability evaluator for the sampler. `log_prob` must be a pure
+/// function of theta returning -inf outside the support; the batch call must
+/// produce exactly the per-row scalar results (the default implementation
+/// just loops — override it to amortize work across rows).
 class LogProbFn {
  public:
   virtual ~LogProbFn() = default;
@@ -86,23 +84,15 @@ class LogProbFn {
   }
 };
 
-/// Run the sampler. `log_prob` must return -inf outside the support.
-/// `initial_walkers` supplies nwalkers starting positions (each of equal
-/// dimension, with finite log_prob for at least one walker — non-finite
-/// starts are nudged onto the best finite start).
-[[nodiscard]] McmcResult run_ensemble_mcmc(
-    const std::function<double(const std::vector<double>&)>& log_prob,
-    std::vector<std::vector<double>> initial_walkers, const McmcOptions& opts,
-    util::Rng& rng);
-
-/// Batched overload: walkers are packed row-major (nwalkers x dim). The
-/// initial walker sweep goes through log_prob_batch; proposals inside a step
-/// go through log_prob_cutoff (the acceptance draw is taken before the
+/// Run the sampler. `initial_walkers` packs nwalkers starting positions
+/// row-major (nwalkers x dim), with finite log_prob for at least one walker
+/// (non-finite starts are nudged onto the best finite start). The initial
+/// walker sweep goes through log_prob_batch; proposals inside a step go
+/// through log_prob_cutoff (the acceptance draw is taken before the
 /// evaluation, so bound-based early rejection can skip hopeless candidates)
 /// but stay scalar because the stretch move is sequential in the walker
-/// index. Draw-for-draw identical to the std::function overload for an
-/// evaluator whose kernels match the scalar log_prob
-/// (predictor_equivalence_test).
+/// index. Draw-for-draw identical for any two evaluators whose kernels
+/// match the scalar log_prob (predictor_equivalence_test).
 [[nodiscard]] McmcResult run_ensemble_mcmc(LogProbFn& log_prob,
                                            std::vector<double> initial_walkers,
                                            std::size_t dim, const McmcOptions& opts,

@@ -22,10 +22,13 @@ namespace hyperdrive::curve {
 /// families have at most 4 parameters).
 inline constexpr std::size_t kNelderMeadMaxDim = 8;
 
+/// Relative simplex spread around the start.
+inline constexpr double kNelderMeadInitialStep = 0.1;
+/// Stop when the simplex's f-spread falls below this.
+inline constexpr double kNelderMeadTolerance = 1e-8;
+
 struct NelderMeadOptions {
   std::size_t max_iterations = 400;
-  double initial_step = 0.1;       ///< relative simplex spread around the start
-  double tolerance = 1e-8;         ///< stop when simplex f-spread falls below this
 };
 
 struct NelderMeadResult {
@@ -64,8 +67,8 @@ template <class Fn>
   std::array<Point, kMax + 1> simplex{};
   for (std::size_t i = 0; i <= n; ++i) std::copy(x0.begin(), x0.end(), simplex[i].begin());
   for (std::size_t i = 0; i < n; ++i) {
-    double step = opts.initial_step * std::fabs(x0[i]);
-    if (step < 1e-4) step = opts.initial_step;
+    double step = kNelderMeadInitialStep * std::fabs(x0[i]);
+    if (step < 1e-4) step = kNelderMeadInitialStep;
     simplex[i + 1][i] += step;
   }
   std::array<double, kMax + 1> fvals{};
@@ -82,7 +85,7 @@ template <class Fn>
 
     const double best = fvals[order[0]];
     const double worst = fvals[order[n]];
-    if (std::isfinite(worst) && worst - best < opts.tolerance) break;
+    if (std::isfinite(worst) && worst - best < kNelderMeadTolerance) break;
 
     // Centroid of all but the worst vertex.
     std::fill_n(centroid.begin(), n, 0.0);

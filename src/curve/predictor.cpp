@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "curve/batch_evaluator.hpp"
+#include "curve/ensemble.hpp"
 #include "curve/lsq_fit.hpp"
 #include "util/hash.hpp"
 
@@ -63,7 +64,7 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
                                              double horizon, const WarmPosterior* warm,
                                              WarmPosterior* out) const override {
     validate_request(history, future_epochs, horizon);
-    CurveEnsemble ensemble(models_from_config(config_), horizon, config_.prior);
+    CurveEnsemble ensemble(models_from_config(config_), horizon);
     util::Rng rng(
         util::derive_seed(config_.seed, util::hash_doubles(util::kFnvBasis, history)));
     const std::size_t dim = ensemble.dim();
@@ -158,6 +159,13 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
   PredictorConfig config_;
 };
 
+/// Fraction of LSQ bootstrap samples drawn from slope-based continuations
+/// instead of family fits. Least-squares point fits of short prefixes are
+/// systematically overconfident (they collapse to the nearest asymptote);
+/// these samples restore the "might keep climbing" posterior mass that the
+/// full MCMC ensemble represents through its asymptote spread.
+constexpr double kLsqOptimisticFraction = 0.35;
+
 /// Per-thread LSQ scratch, reused across predicts as BatchEvaluator's arenas
 /// are: beyond its result, a steady-state predict allocates only the
 /// families' initial-guess vectors.
@@ -224,13 +232,12 @@ class LsqPredictor final : public CurvePredictor {
     }
 
     // Bootstrap: sample a family, jitter its fitted curve by a random offset
-    // and slope perturbation scaled to the residual noise. A configurable
-    // fraction of samples instead follow geometrically-damped continuations
-    // of the recent slope (see lsq_optimistic_fraction). A family's fitted
-    // curve is deterministic, so it is evaluated once, the first time the
-    // family is drawn; each sample still draws its deviates in the order a
-    // per-sample evaluation would (the samples are pinned by
-    // lsq_digest_test).
+    // and slope perturbation scaled to the residual noise. A fixed fraction
+    // of samples (kLsqOptimisticFraction) instead follow geometrically-damped
+    // continuations of the recent slope. A family's fitted curve is
+    // deterministic, so it is evaluated once, the first time the family is
+    // drawn; each sample still draws its deviates in the order a per-sample
+    // evaluation would (the samples are pinned by lsq_digest_test).
     const std::size_t width = future_epochs.size();
     const double n = static_cast<double>(history.size());
     auto& spread = scratch.spread;
@@ -249,7 +256,7 @@ class LsqPredictor final : public CurvePredictor {
     std::vector<double> flat(config_.lsq_samples * width);
     for (std::size_t s = 0; s < config_.lsq_samples; ++s) {
       double* curve = flat.data() + s * width;
-      if (rng.bernoulli(config_.lsq_optimistic_fraction)) {
+      if (rng.bernoulli(kLsqOptimisticFraction)) {
         // Continuation sample: y(x) = last + slope * sum_{j<=x-n} gamma^j,
         // gamma ~ U(0.80, 1.0). gamma -> 1 extrapolates the trend linearly;
         // small gamma saturates quickly. Flat histories stay flat, so this
@@ -262,7 +269,7 @@ class LsqPredictor final : public CurvePredictor {
                                  ? steps
                                  : gamma * (1.0 - std::pow(gamma, steps)) / (1.0 - gamma);
           curve[e] = std::clamp(last + slope * geo + offset + rng.normal(0.0, sigma),
-                                config_.prior.y_lo, config_.prior.y_hi);
+                                kPriorYLo, kPriorYHi);
         }
         continue;
       }
@@ -276,7 +283,7 @@ class LsqPredictor final : public CurvePredictor {
         // Offset/drift model parameter uncertainty; the extra per-epoch term
         // is the observation noise of the posterior predictive.
         y += offset + drift * spread[e] + rng.normal(0.0, sigma);
-        curve[e] = std::clamp(y, config_.prior.y_lo, config_.prior.y_hi);
+        curve[e] = std::clamp(y, kPriorYLo, kPriorYHi);
       }
       if (finite < width) {
         // The fitted curve goes non-finite at epoch `finite` (after one
@@ -357,19 +364,6 @@ class LastValuePredictor final : public CurvePredictor {
 };
 
 }  // namespace
-
-CurvePrediction::CurvePrediction(std::vector<double> epochs,
-                                 std::vector<std::vector<double>> sample_curves)
-    : epochs_(std::move(epochs)), nsamples_(sample_curves.size()) {
-  samples_.reserve(nsamples_ * epochs_.size());
-  for (const auto& s : sample_curves) {
-    if (s.size() != epochs_.size()) {
-      throw std::invalid_argument("CurvePrediction: sample width mismatch");
-    }
-    samples_.insert(samples_.end(), s.begin(), s.end());
-  }
-  finalize();
-}
 
 CurvePrediction::CurvePrediction(std::vector<double> epochs, std::vector<double> flat_samples,
                                  std::size_t num_samples)

@@ -9,12 +9,13 @@
 // prediction confidence p.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
-#include "curve/ensemble.hpp"
 #include "curve/mcmc.hpp"
 
 namespace hyperdrive::curve {
@@ -26,9 +27,8 @@ namespace hyperdrive::curve {
 class CurvePrediction {
  public:
   CurvePrediction() = default;
-  CurvePrediction(std::vector<double> epochs, std::vector<std::vector<double>> sample_curves);
-  /// Flat constructor: `flat_samples` holds `num_samples` rows of
-  /// `epochs.size()` values each, row-major.
+  /// `flat_samples` holds `num_samples` rows of `epochs.size()` values
+  /// each, row-major.
   CurvePrediction(std::vector<double> epochs, std::vector<double> flat_samples,
                   std::size_t num_samples);
 
@@ -75,13 +75,6 @@ struct PredictorConfig {
   McmcOptions mcmc;
   /// Number of bootstrap curves drawn by the fast LSQ predictor.
   std::size_t lsq_samples = 200;
-  /// Fraction of LSQ bootstrap samples drawn from slope-based continuations
-  /// instead of family fits. Least-squares point fits of short prefixes are
-  /// systematically overconfident (they collapse to the nearest asymptote);
-  /// these samples restore the "might keep climbing" posterior mass that
-  /// the full MCMC ensemble represents through its asymptote spread.
-  double lsq_optimistic_fraction = 0.35;
-  EnsemblePrior prior;
   std::uint64_t seed = 0x5eed;
   /// Route MCMC log-posterior evaluation through the fused BatchEvaluator
   /// kernels instead of the generic CurveEnsemble path. Bit-identical results

@@ -230,7 +230,7 @@ void Server::loop() {
             set_nonblocking(cfd);
             const int one = 1;
             (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            conns_.emplace(cfd, Connection(options_.max_frame_bytes));
+            conns_.try_emplace(cfd);
             bump("svc.connections");
           }
         }

@@ -32,7 +32,6 @@ struct ServerOptions {
   /// Accepted-but-over-limit connections are closed immediately (and counted
   /// as svc.connections_dropped).
   std::size_t max_connections = 64;
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   /// svc.connection/frame/byte counters + the Metrics request's snapshot.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -58,11 +57,10 @@ class Server {
 
  private:
   struct Connection {
-    FrameReader reader;
+    FrameReader reader;  ///< bounded by kMaxFrameBytes
     std::vector<std::uint8_t> out;
     std::size_t out_pos = 0;
     bool close_after_flush = false;
-    explicit Connection(std::size_t max_frame) : reader(max_frame) {}
   };
 
   void loop();

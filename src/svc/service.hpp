@@ -56,7 +56,8 @@ struct ServiceOptions {
   /// "unknown-tenant: <tenant>" before admission control sees them.
   std::vector<std::string> allowed_tenants;
   AdmissionOptions admission;
-  /// Durable journal root; empty = memory-only (no resume, tests only).
+  /// Durable journal root; empty = memory-only (no resume; tests and
+  /// perfbench's svc-studies timed loop run this way).
   std::string state_dir;
   /// Per-study durable checkpoint cadence in simulated seconds (0 = only the
   /// final frame). Mirrors the batch --checkpoint-every.

@@ -19,29 +19,15 @@
 
 namespace hyperdrive::workload {
 
-struct CifarModelOptions {
-  std::size_t max_epochs = 120;
-  double target = 0.77;
-  double kill_threshold = 0.15;  ///< slightly above random accuracy (§5.3)
-  double random_accuracy = 0.10;
-  /// Scales per-epoch observation noise (the paper observed up to 2%
-  /// run-to-run variation at a given epoch, §6.1 Non-Determinism).
-  double noise_scale = 1.0;
-  /// Mean epoch duration scale; 1.0 gives ~1 minute epochs (Fig. 1).
-  double epoch_duration_scale = 1.0;
-};
-
 class CifarWorkloadModel final : public WorkloadModel {
  public:
-  explicit CifarWorkloadModel(CifarModelOptions options = {});
+  CifarWorkloadModel();
 
   [[nodiscard]] std::string_view name() const noexcept override { return "cifar10"; }
   [[nodiscard]] const HyperparameterSpace& space() const noexcept override { return space_; }
-  [[nodiscard]] std::size_t max_epochs() const noexcept override { return options_.max_epochs; }
-  [[nodiscard]] double target_performance() const noexcept override { return options_.target; }
-  [[nodiscard]] double kill_threshold() const noexcept override {
-    return options_.kill_threshold;
-  }
+  [[nodiscard]] std::size_t max_epochs() const noexcept override { return kMaxEpochs; }
+  [[nodiscard]] double target_performance() const noexcept override { return kTarget; }
+  [[nodiscard]] double kill_threshold() const noexcept override { return kKillThreshold; }
   [[nodiscard]] std::size_t evaluation_boundary() const noexcept override { return 10; }
 
   [[nodiscard]] GroundTruthCurve realize(const Configuration& config,
@@ -51,7 +37,11 @@ class CifarWorkloadModel final : public WorkloadModel {
   [[nodiscard]] ConfigQuality quality(const Configuration& config) const;
 
  private:
-  CifarModelOptions options_;
+  static constexpr std::size_t kMaxEpochs = 120;
+  static constexpr double kTarget = 0.77;
+  static constexpr double kKillThreshold = 0.15;  ///< slightly above random accuracy (§5.3)
+  static constexpr double kRandomAccuracy = 0.10;
+
   HyperparameterSpace space_;
 };
 

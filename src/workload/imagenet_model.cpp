@@ -16,8 +16,7 @@ double linear_kernel(double value, double ideal, double width) {
 }
 }  // namespace
 
-ImagenetWorkloadModel::ImagenetWorkloadModel(ImagenetModelOptions options)
-    : options_(options) {
+ImagenetWorkloadModel::ImagenetWorkloadModel() {
   // Distributed-training knobs in addition to the optimizer's: per-worker
   // batch, parameter-server shards, async staleness bound.
   space_.add("lr", ContinuousDomain{1e-4, 1.0, /*log_scale=*/true})
@@ -79,16 +78,15 @@ GroundTruthCurve ImagenetWorkloadModel::realize(const Configuration& config,
   GroundTruthCurve curve;
   curve.raw_min = 0.0;
   curve.raw_max = 1.0;
-  curve.perf.resize(options_.max_epochs);
+  curve.perf.resize(kMaxEpochs);
 
   // ~4-hour epochs (one pass over 15M images on a 62-machine partition),
   // mildly dependent on the parameter-server sharding.
   const double shards = static_cast<double>(config.get_int("ps_shards"));
-  const double base_hours =
-      (3.2 + 45.0 / shards) * options_.epoch_duration_scale;
+  const double base_hours = 3.2 + 45.0 / shards;
   curve.epoch_duration = util::SimTime::hours(base_hours * shape_rng.lognormal(0.0, 0.10));
 
-  const double noise_sigma = (0.002 + 0.004 * shape_rng.uniform()) * options_.noise_scale;
+  const double noise_sigma = 0.002 + 0.004 * shape_rng.uniform();
   if (!q.learns) {
     for (auto& y : curve.perf) {
       y = std::clamp(0.003 + noise_rng.normal(0.0, noise_sigma), 0.0, 0.02);

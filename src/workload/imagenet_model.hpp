@@ -15,25 +15,15 @@
 
 namespace hyperdrive::workload {
 
-struct ImagenetModelOptions {
-  std::size_t max_epochs = 60;  ///< ~4 h each => ~10 days to convergence
-  double target = 0.35;         ///< strong top-1 for the era's models
-  double kill_threshold = 0.02; ///< still near-random after the boundary
-  double noise_scale = 1.0;
-  double epoch_duration_scale = 1.0;
-};
-
 class ImagenetWorkloadModel final : public WorkloadModel {
  public:
-  explicit ImagenetWorkloadModel(ImagenetModelOptions options = {});
+  ImagenetWorkloadModel();
 
   [[nodiscard]] std::string_view name() const noexcept override { return "imagenet22k"; }
   [[nodiscard]] const HyperparameterSpace& space() const noexcept override { return space_; }
-  [[nodiscard]] std::size_t max_epochs() const noexcept override { return options_.max_epochs; }
-  [[nodiscard]] double target_performance() const noexcept override { return options_.target; }
-  [[nodiscard]] double kill_threshold() const noexcept override {
-    return options_.kill_threshold;
-  }
+  [[nodiscard]] std::size_t max_epochs() const noexcept override { return kMaxEpochs; }
+  [[nodiscard]] double target_performance() const noexcept override { return kTarget; }
+  [[nodiscard]] double kill_threshold() const noexcept override { return kKillThreshold; }
   [[nodiscard]] std::size_t evaluation_boundary() const noexcept override { return 3; }
 
   [[nodiscard]] GroundTruthCurve realize(const Configuration& config,
@@ -42,7 +32,10 @@ class ImagenetWorkloadModel final : public WorkloadModel {
   [[nodiscard]] ConfigQuality quality(const Configuration& config) const;
 
  private:
-  ImagenetModelOptions options_;
+  static constexpr std::size_t kMaxEpochs = 60;  ///< ~4 h each => ~10 days to convergence
+  static constexpr double kTarget = 0.35;         ///< strong top-1 for the era's models
+  static constexpr double kKillThreshold = 0.02;  ///< still near-random after the boundary
+
   HyperparameterSpace space_;
 };
 

@@ -12,7 +12,7 @@ double log_kernel(double value, double ideal_log10, double width) {
 }
 }  // namespace
 
-LunarWorkloadModel::LunarWorkloadModel(LunarModelOptions options) : options_(options) {
+LunarWorkloadModel::LunarWorkloadModel() {
   // 11 hyperparameters, mirroring the DQN knobs of the model the paper uses.
   space_.add("lr", ContinuousDomain{1e-5, 1e-2, /*log_scale=*/true})
       .add("gamma", ContinuousDomain{0.90, 0.9999})
@@ -28,15 +28,15 @@ LunarWorkloadModel::LunarWorkloadModel(LunarModelOptions options) : options_(opt
 }
 
 double LunarWorkloadModel::normalize_reward(double r) const noexcept {
-  return (r - options_.reward_min) / (options_.reward_max - options_.reward_min);
+  return (r - kRewardMin) / (kRewardMax - kRewardMin);
 }
 
 double LunarWorkloadModel::target_performance() const noexcept {
-  return normalize_reward(options_.solved_reward);
+  return normalize_reward(kSolvedReward);
 }
 
 double LunarWorkloadModel::kill_threshold() const noexcept {
-  return normalize_reward(options_.crash_reward);
+  return normalize_reward(kCrashReward);
 }
 
 ConfigQuality LunarWorkloadModel::quality(const Configuration& config) const {
@@ -107,17 +107,16 @@ GroundTruthCurve LunarWorkloadModel::realize(const Configuration& config,
   util::Rng noise_rng(util::derive_seed(config_hash ^ experiment_seed, 0x5EED));
 
   GroundTruthCurve curve;
-  curve.raw_min = options_.reward_min;
-  curve.raw_max = options_.reward_max;
-  curve.perf.resize(options_.max_epochs);
+  curve.raw_min = kRewardMin;
+  curve.raw_max = kRewardMax;
+  curve.perf.resize(kMaxEpochs);
 
   // CPU training on c4.xlarge: tens of seconds per 200-trial epoch,
   // network-size and batch dependent.
   const double nn_cost = static_cast<double>(config.get_int("hidden1")) *
                          static_cast<double>(config.get_int("hidden2")) / 8192.0;
   const double base_seconds =
-      (26.0 + 9.0 * nn_cost + 110.0 / static_cast<double>(config.get_int("batch_size"))) *
-      options_.epoch_duration_scale;
+      26.0 + 9.0 * nn_cost + 110.0 / static_cast<double>(config.get_int("batch_size"));
   curve.epoch_duration =
       util::SimTime::seconds(base_seconds * shape_rng.lognormal(0.0, 0.10));
 
@@ -125,7 +124,7 @@ GroundTruthCurve LunarWorkloadModel::realize(const Configuration& config,
   // Learners start inside the crash range but climb out of it within the
   // first evaluation boundary (the kill rule at -100 must not cull them).
   const double start_n = normalize_reward(-160.0 + 50.0 * shape_rng.uniform());
-  const double noise_sigma = (0.006 + 0.010 * shape_rng.uniform()) * options_.noise_scale;
+  const double noise_sigma = 0.006 + 0.010 * shape_rng.uniform();
 
   if (!q.learns) {
     // Non-learner: noisy random policy hovering in the crash range. The

@@ -18,23 +18,13 @@
 
 namespace hyperdrive::workload {
 
-struct LunarModelOptions {
-  std::size_t max_epochs = 100;   ///< x 200 trials = 20k episode trials
-  double reward_min = -500.0;     ///< Eq. 4 r_min (empirical, §6.3)
-  double reward_max = 300.0;      ///< Eq. 4 r_max (environment bound)
-  double solved_reward = 200.0;   ///< environment's solved condition
-  double crash_reward = -100.0;   ///< non-learning value (lander crash)
-  double noise_scale = 1.0;
-  double epoch_duration_scale = 1.0;
-};
-
 class LunarWorkloadModel final : public WorkloadModel {
  public:
-  explicit LunarWorkloadModel(LunarModelOptions options = {});
+  LunarWorkloadModel();
 
   [[nodiscard]] std::string_view name() const noexcept override { return "lunarlander"; }
   [[nodiscard]] const HyperparameterSpace& space() const noexcept override { return space_; }
-  [[nodiscard]] std::size_t max_epochs() const noexcept override { return options_.max_epochs; }
+  [[nodiscard]] std::size_t max_epochs() const noexcept override { return kMaxEpochs; }
   /// Normalized solved threshold: (200 - (-500)) / 800 = 0.875.
   [[nodiscard]] double target_performance() const noexcept override;
   /// Normalized crash reward: (-100 - (-500)) / 800 = 0.5 (§5.3).
@@ -50,7 +40,12 @@ class LunarWorkloadModel final : public WorkloadModel {
   [[nodiscard]] double normalize_reward(double r) const noexcept;
 
  private:
-  LunarModelOptions options_;
+  static constexpr std::size_t kMaxEpochs = 100;   ///< x 200 trials = 20k episode trials
+  static constexpr double kRewardMin = -500.0;     ///< Eq. 4 r_min (empirical, §6.3)
+  static constexpr double kRewardMax = 300.0;      ///< Eq. 4 r_max (environment bound)
+  static constexpr double kSolvedReward = 200.0;   ///< environment's solved condition
+  static constexpr double kCrashReward = -100.0;   ///< non-learning value (lander crash)
+
   HyperparameterSpace space_;
 };
 

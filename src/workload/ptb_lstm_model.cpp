@@ -16,8 +16,7 @@ double linear_kernel(double value, double ideal, double width) {
 }
 }  // namespace
 
-PtbLstmWorkloadModel::PtbLstmWorkloadModel(PtbLstmModelOptions options)
-    : options_(options) {
+PtbLstmWorkloadModel::PtbLstmWorkloadModel() {
   // The Zaremba et al. medium-LSTM knobs plus the group-Lasso lambda of the
   // §9 case study.
   space_.add("lambda", ContinuousDomain{1e-7, 1e-2, /*log_scale=*/true})
@@ -33,20 +32,19 @@ PtbLstmWorkloadModel::PtbLstmWorkloadModel(PtbLstmModelOptions options)
 }
 
 double PtbLstmWorkloadModel::normalize_ppl(double ppl) const noexcept {
-  return std::clamp((options_.ppl_worst - ppl) / (options_.ppl_worst - options_.ppl_best),
-                    0.0, 1.0);
+  return std::clamp((kPplWorst - ppl) / (kPplWorst - kPplBest), 0.0, 1.0);
 }
 
 double PtbLstmWorkloadModel::denormalize_ppl(double score) const noexcept {
-  return options_.ppl_worst - score * (options_.ppl_worst - options_.ppl_best);
+  return kPplWorst - score * (kPplWorst - kPplBest);
 }
 
 double PtbLstmWorkloadModel::target_performance() const noexcept {
-  return normalize_ppl(options_.target_ppl);
+  return normalize_ppl(kTargetPpl);
 }
 
 double PtbLstmWorkloadModel::kill_threshold() const noexcept {
-  return normalize_ppl(options_.kill_ppl);
+  return normalize_ppl(kKillPpl);
 }
 
 double PtbLstmWorkloadModel::target_sparsity(const Configuration& config) const {
@@ -67,7 +65,7 @@ ConfigQuality PtbLstmWorkloadModel::quality(const Configuration& config) const {
   // loose gradient clip.
   if (lr > 6.0 && grad_clip > 10.0) {
     q.learns = false;
-    q.final_perf = normalize_ppl(options_.ppl_worst * 0.9);
+    q.final_perf = normalize_ppl(kPplWorst * 0.9);
     q.speed = 1.0;
     return q;
   }
@@ -94,8 +92,7 @@ ConfigQuality PtbLstmWorkloadModel::quality(const Configuration& config) const {
 
   // Base perplexity from hyperparameter quality: 65 for perfect settings,
   // drifting toward ~400 for poor-but-converging ones.
-  const double base_ppl = options_.ppl_best + (400.0 - options_.ppl_best) *
-                                                  std::pow(1.0 - score, 1.6);
+  const double base_ppl = kPplBest + (400.0 - kPplBest) * std::pow(1.0 - score, 1.6);
 
   // Group-Lasso trade-off (the §9 knee): gentle perplexity cost up to ~55%
   // sparsity, steep beyond it.
@@ -119,18 +116,17 @@ GroundTruthCurve PtbLstmWorkloadModel::realize(const Configuration& config,
   GroundTruthCurve curve;
   curve.raw_min = 0.0;
   curve.raw_max = 1.0;
-  curve.perf.resize(options_.max_epochs);
-  curve.secondary.resize(options_.max_epochs);
+  curve.perf.resize(kMaxEpochs);
+  curve.secondary.resize(kMaxEpochs);
 
   // PTB epochs are slow: minutes each, scaling with network size.
   const double hidden = static_cast<double>(config.get_int("hidden_size"));
   const double layers = static_cast<double>(config.get_int("num_layers"));
-  const double base_seconds =
-      (90.0 + 0.35 * hidden * layers / 2.0) * options_.epoch_duration_scale;
+  const double base_seconds = 90.0 + 0.35 * hidden * layers / 2.0;
   curve.epoch_duration =
       util::SimTime::seconds(base_seconds * shape_rng.lognormal(0.0, 0.08));
 
-  const double noise_sigma = (0.004 + 0.006 * shape_rng.uniform()) * options_.noise_scale;
+  const double noise_sigma = 0.004 + 0.006 * shape_rng.uniform();
   const double sparsity_final = target_sparsity(config);
   // Sparsity ramps in once the optimizer has shrunk whole groups: a delayed
   // logistic over epochs.
@@ -140,7 +136,7 @@ GroundTruthCurve PtbLstmWorkloadModel::realize(const Configuration& config,
   if (!q.learns) {
     for (std::size_t e = 0; e < curve.perf.size(); ++e) {
       curve.perf[e] = std::clamp(
-          normalize_ppl(options_.ppl_worst * 0.9) + noise_rng.normal(0.0, noise_sigma),
+          normalize_ppl(kPplWorst * 0.9) + noise_rng.normal(0.0, noise_sigma),
           0.0, 1.0);
       curve.secondary[e] = 0.0;  // diverged models shrink nothing
     }

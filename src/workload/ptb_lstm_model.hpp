@@ -20,25 +20,13 @@
 
 namespace hyperdrive::workload {
 
-struct PtbLstmModelOptions {
-  std::size_t max_epochs = 40;
-  double ppl_best = 65.0;    ///< strong medium-LSTM perplexity
-  double ppl_worst = 800.0;  ///< diverged / random-ish model
-  /// Primary target: perplexity at or below this value.
-  double target_ppl = 90.0;
-  /// Kill threshold: still at or above this perplexity at a boundary.
-  double kill_ppl = 500.0;
-  double noise_scale = 1.0;
-  double epoch_duration_scale = 1.0;
-};
-
 class PtbLstmWorkloadModel final : public WorkloadModel {
  public:
-  explicit PtbLstmWorkloadModel(PtbLstmModelOptions options = {});
+  PtbLstmWorkloadModel();
 
   [[nodiscard]] std::string_view name() const noexcept override { return "ptb_lstm"; }
   [[nodiscard]] const HyperparameterSpace& space() const noexcept override { return space_; }
-  [[nodiscard]] std::size_t max_epochs() const noexcept override { return options_.max_epochs; }
+  [[nodiscard]] std::size_t max_epochs() const noexcept override { return kMaxEpochs; }
   [[nodiscard]] double target_performance() const noexcept override;
   [[nodiscard]] double kill_threshold() const noexcept override;
   [[nodiscard]] std::size_t evaluation_boundary() const noexcept override { return 5; }
@@ -56,7 +44,14 @@ class PtbLstmWorkloadModel final : public WorkloadModel {
   [[nodiscard]] double target_sparsity(const Configuration& config) const;
 
  private:
-  PtbLstmModelOptions options_;
+  static constexpr std::size_t kMaxEpochs = 40;
+  static constexpr double kPplBest = 65.0;    ///< strong medium-LSTM perplexity
+  static constexpr double kPplWorst = 800.0;  ///< diverged / random-ish model
+  /// Primary target: perplexity at or below this value.
+  static constexpr double kTargetPpl = 90.0;
+  /// Kill threshold: still at or above this perplexity at a boundary.
+  static constexpr double kKillPpl = 500.0;
+
   HyperparameterSpace space_;
 };
 

@@ -211,7 +211,7 @@ TEST(HealthMonitorTest, ConsecutiveSlowEpochsQuarantine) {
   const auto expected = SimTime::seconds(60), observed = SimTime::seconds(240);
   SimTime now = SimTime::zero();
   // EWMA from 1.0 with alpha 0.4 and obs 0.25: 0.7, 0.52, 0.41, 0.35 — the
-  // last three are below slow_speed 0.6, so the third strike lands on the
+  // last three are below kSlowHostSpeed 0.6, so the third strike lands on the
   // fourth epoch.
   for (int e = 1; e <= 3; ++e) {
     now = now + observed;

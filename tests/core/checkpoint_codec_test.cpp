@@ -100,6 +100,33 @@ TEST(CheckpointCodecTest, EncodeIsDeterministic) {
   EXPECT_EQ(encode_checkpoint(sample_checkpoint()), encode_checkpoint(sample_checkpoint()));
 }
 
+/// FNV-1a over a frame's bytes (spelled out here so the digests do not
+/// depend on the code under test).
+std::uint64_t fnv(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Durable frames outlive the binary that wrote them: a resumed coordinator
+// must read every byte an older build wrote. These digests pin the v2 frame
+// layout, options image included; a codec change that moves a byte fails
+// here instead of at a user's restart.
+TEST(CheckpointCodecTest, FrameBytesArePinned) {
+  const auto sample = encode_checkpoint(sample_checkpoint());
+  EXPECT_EQ(sample.size(), 546u);
+  EXPECT_EQ(fnv(sample), 0x3a7b4b02219f7cd4ULL);
+
+  StudySpec spec;
+  spec.name = "solo";
+  const auto defaults = encode_checkpoint(make_checkpoint_inputs({spec}, {}));
+  EXPECT_EQ(defaults.size(), 364u);
+  EXPECT_EQ(fnv(defaults), 0x1f9ee78fd0c1a1e1ULL);
+}
+
 TEST(CheckpointCodecTest, DecodeClassifiesFailures) {
   const auto image = encode_checkpoint(sample_checkpoint());
 

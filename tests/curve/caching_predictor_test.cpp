@@ -25,10 +25,9 @@ class CountingPredictor final : public CurvePredictor {
                                         std::span<const double> future_epochs,
                                         double /*horizon*/) const override {
     ++calls;
-    std::vector<std::vector<double>> samples(
-        4, std::vector<double>(future_epochs.size(), history.back()));
+    std::vector<double> samples(4 * future_epochs.size(), history.back());
     return CurvePrediction(std::vector<double>(future_epochs.begin(), future_epochs.end()),
-                           std::move(samples));
+                           std::move(samples), 4);
   }
 
   mutable int calls = 0;
@@ -92,10 +91,9 @@ class AtomicCountingPredictor final : public CurvePredictor {
                                         std::span<const double> future_epochs,
                                         double /*horizon*/) const override {
     calls.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::vector<double>> samples(
-        4, std::vector<double>(future_epochs.size(), history.back()));
+    std::vector<double> samples(4 * future_epochs.size(), history.back());
     return CurvePrediction(std::vector<double>(future_epochs.begin(), future_epochs.end()),
-                           std::move(samples));
+                           std::move(samples), 4);
   }
 
   mutable std::atomic<int> calls{0};
@@ -181,10 +179,9 @@ class RecordingWarmPredictor final : public CurvePredictor, public WarmStartPred
       out->dim = 2;
       out->walkers = {static_cast<double>(history.size()), 0.0};
     }
-    std::vector<std::vector<double>> samples(
-        4, std::vector<double>(future_epochs.size(), history.back()));
+    std::vector<double> samples(4 * future_epochs.size(), history.back());
     return CurvePrediction(std::vector<double>(future_epochs.begin(), future_epochs.end()),
-                           std::move(samples));
+                           std::move(samples), 4);
   }
 
   mutable int fits = 0;

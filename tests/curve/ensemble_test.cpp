@@ -163,8 +163,8 @@ TEST_F(EnsemblePriorTest, JitterStaysInSupport) {
         EXPECT_LE(v, box[d].hi);
       }
     }
-    EXPECT_GE(jittered[e_.sigma_offset()], e_.prior().log_sigma_lo);
-    EXPECT_LE(jittered[e_.sigma_offset()], e_.prior().log_sigma_hi);
+    EXPECT_GE(jittered[e_.sigma_offset()], kPriorLogSigmaLo);
+    EXPECT_LE(jittered[e_.sigma_offset()], kPriorLogSigmaHi);
   }
 }
 

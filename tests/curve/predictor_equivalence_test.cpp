@@ -59,8 +59,7 @@ std::vector<double> random_theta(const CurveEnsemble& ensemble, util::Rng& rng,
   for (std::size_t k = 0; k < ensemble.num_models(); ++k) {
     theta[ensemble.weight_offset() + k] = rng.uniform(0.0, 1.0);
   }
-  theta[ensemble.sigma_offset()] =
-      rng.uniform(ensemble.prior().log_sigma_lo, ensemble.prior().log_sigma_hi);
+  theta[ensemble.sigma_offset()] = rng.uniform(kPriorLogSigmaLo, kPriorLogSigmaHi);
   if (adversarial) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(ensemble.dim()) - 1));

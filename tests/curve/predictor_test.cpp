@@ -162,11 +162,11 @@ TEST(LastValuePredictorTest, ExtrapolatesFlat) {
 }
 
 TEST(CurvePredictionTest, RejectsRaggedSamples) {
-  EXPECT_THROW(CurvePrediction({1.0, 2.0}, {{0.1}}), std::invalid_argument);
+  EXPECT_THROW(CurvePrediction({1.0, 2.0}, {0.1}, 1), std::invalid_argument);
 }
 
 TEST(CurvePredictionTest, EmptyPredictionIsSafe) {
-  CurvePrediction pred({10.0}, {});
+  CurvePrediction pred({10.0}, {}, 0);
   EXPECT_TRUE(pred.empty());
   EXPECT_DOUBLE_EQ(pred.mean_at(0), 0.0);
   EXPECT_DOUBLE_EQ(pred.prob_at_least(0, 0.5), 0.0);
@@ -174,7 +174,7 @@ TEST(CurvePredictionTest, EmptyPredictionIsSafe) {
 }
 
 TEST(CurvePredictionTest, StatisticsMatchHandComputation) {
-  CurvePrediction pred({10.0, 20.0}, {{0.2, 0.6}, {0.4, 0.2}, {0.6, 0.8}});
+  CurvePrediction pred({10.0, 20.0}, {0.2, 0.6, 0.4, 0.2, 0.6, 0.8}, 3);
   EXPECT_NEAR(pred.mean_at(0), 0.4, 1e-12);
   EXPECT_NEAR(pred.prob_at_least(0, 0.4), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(pred.prob_at_least(1, 0.5), 2.0 / 3.0, 1e-12);

@@ -297,34 +297,6 @@ TEST(LunarDeterminismTest, RealizationDeterministic) {
   EXPECT_EQ(model.realize(config, 3).perf, model.realize(config, 3).perf);
 }
 
-TEST(WorkloadOptionsTest, EpochDurationScaleRespected) {
-  CifarModelOptions opts;
-  opts.epoch_duration_scale = 2.0;
-  CifarWorkloadModel scaled(opts);
-  CifarWorkloadModel normal;
-  util::Rng rng(10);
-  const auto config = normal.space().sample(rng);
-  EXPECT_NEAR(scaled.realize(config, 1).epoch_duration.to_seconds(),
-              2.0 * normal.realize(config, 1).epoch_duration.to_seconds(), 1e-9);
-}
-
-TEST(WorkloadOptionsTest, NoiseScaleZeroGivesSmoothCurves) {
-  CifarModelOptions opts;
-  opts.noise_scale = 0.0;
-  CifarWorkloadModel model(opts);
-  util::Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    const auto config = model.space().sample(rng);
-    const auto q = model.quality(config);
-    if (!q.learns) continue;
-    const auto curve = model.realize(config, 1);
-    // Smooth growth: differences should never be strongly negative.
-    for (std::size_t e = 1; e < curve.perf.size(); ++e) {
-      EXPECT_GT(curve.perf[e] - curve.perf[e - 1], -0.01);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace hyperdrive::workload
 
