@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "core/experiment_runner.hpp"
@@ -103,6 +104,17 @@ cluster::NodeCrashEvent parse_crash(const std::string& spec) {
   return crash;
 }
 
+/// A count flag that must be at least 1: zero leaves nothing to run, so it
+/// is rejected like a malformed number.
+cli::Options::ValueHandler positive_count(std::size_t& target) {
+  return [&target](const std::string& text) {
+    std::uint64_t n = 0;
+    if (!cli::Options::parse_uint(text, n) || n == 0) return false;
+    target = static_cast<std::size_t>(n);
+    return true;
+  };
+}
+
 /// The full flag table; --help is generated from it, so the usage screen and
 /// the parser cannot drift apart.
 cli::Options make_options(CliConfig& config) {
@@ -126,11 +138,12 @@ cli::Options make_options(CliConfig& config) {
   options.bind("--generator", "NAME", "random|grid|adaptive|tpe  [random]",
                config.study.generator);
   options.bind("--substrate", "NAME", "replay|cluster  [replay]", config.substrate);
-  options.bind("--machines", "N", "machine slots  [4]", config.machines);
+  options.add("--machines", "N", "machine slots, at least 1  [4]",
+              positive_count(config.machines));
   options.bind("--configs", "N", "hyperparameter configurations  [100]",
                config.study.configs);
-  options.bind("--repeats", "N", "repeats (fresh training noise each)  [1]",
-               config.repeats);
+  options.add("--repeats", "N", "repeats (fresh training noise each), at least 1  [1]",
+              positive_count(config.repeats));
   options.bind("--jobs", "N",
                "parallel sweep workers, 0 = all cores; results\n"
                "are identical for any N  [0]",
@@ -156,10 +169,13 @@ cli::Options make_options(CliConfig& config) {
   options.bind("--trace-out", "FILE",
                "write the typed event timeline: single/sweep runs emit the\n"
                "cell-prefixed timeline CSV, multi-study runs the plain\n"
-               "timeline (\".jsonl\" extension selects JSONL there)",
+               "timeline (\".jsonl\" extension selects JSONL there);\n"
+               "single-study runs need --substrate cluster",
                config.trace_out);
   options.bind("--metrics-out", "FILE",
-               "write the end-of-run metrics snapshot CSV", config.metrics_out);
+               "write the end-of-run metrics snapshot CSV;\n"
+               "single-study runs need --substrate cluster",
+               config.metrics_out);
 
   options.section("fault injection (cluster substrate only; deterministic per seed)");
   options.add("--fault-plan", "FILE",
@@ -394,17 +410,25 @@ int main(int argc, char** argv) {
                  "multi-study mode (--study or --resume-from)\n");
     return 2;
   }
-  if (config.fault_plan.any() && config.substrate != "cluster") {
-    std::fprintf(stderr, "fault injection requires --substrate cluster\n");
+  if (config.substrate != "replay" && config.substrate != "cluster") {
+    std::fprintf(stderr, "unknown substrate '%s' (want replay|cluster)\n",
+                 config.substrate.c_str());
     return 2;
   }
-  if (config.health && config.substrate != "cluster") {
-    std::fprintf(stderr, "--health requires --substrate cluster\n");
-    return 2;
-  }
-  if (!config.catalog.empty() && config.substrate != "cluster") {
-    std::fprintf(stderr, "--catalog requires --substrate cluster\n");
-    return 2;
+  // The replay reads only its ReplayOptions: flags that shape or observe the
+  // cluster would be silently ignored there, so they are rejected instead.
+  const std::pair<bool, const char*> cluster_only[] = {
+      {config.fault_plan.any(), "fault injection"},
+      {config.health, "--health"},
+      {!config.catalog.empty(), "--catalog"},
+      {!config.trace_out.empty(), "--trace-out"},
+      {!config.metrics_out.empty(), "--metrics-out"},
+  };
+  for (const auto& [given, what] : cluster_only) {
+    if (given && config.substrate != "cluster") {
+      std::fprintf(stderr, "%s requires --substrate cluster\n", what);
+      return 2;
+    }
   }
   core::ResolvedStudy study;
   try {

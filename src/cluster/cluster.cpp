@@ -110,10 +110,7 @@ std::optional<core::JobId> HyperDriveCluster::get_idle_job() { return jm_.get_id
 
 bool HyperDriveCluster::start_job(core::JobId id) {
   auto& job = jm_.job(id);
-  if (!job.idle) return false;
-  if (job.status != core::JobStatus::Pending && job.status != core::JobStatus::Suspended) {
-    return false;
-  }
+  if (!job.queued()) return false;
   // With the health layer on, prefer the fastest-scoring idle machine (ties
   // to the lowest id, so a uniformly healthy cluster places identically to
   // the unscored path). Degraded-but-not-yet-quarantined nodes are avoided
@@ -233,30 +230,22 @@ bool HyperDriveCluster::supports_clone() const {
 }
 
 bool HyperDriveCluster::clone_job(core::JobId id, core::JobId donor, std::uint64_t stream) {
-  if (!options_.explore || id == donor) return false;
-  auto& job = jm_.job(id);
-  const auto& src = jm_.job(donor);
-  if (!job.idle) return false;
-  if (job.status != core::JobStatus::Pending && job.status != core::JobStatus::Suspended) {
-    return false;
-  }
   // The donated state is the donor's durable record (§5.1): the AppStatDb's
   // contiguous stat prefix, which is also as far as any stored weight
-  // snapshot can reach. An untrained donor has nothing to donate.
-  const std::size_t epoch = db_.perf_history(donor).size();
-  if (epoch == 0) return false;
-
-  auto continued = std::make_unique<workload::TraceJob>(
-      options_.explore(*job.spec, *src.spec, epoch, stream));
-  continued->job_id = id;
-  // A continuation with nothing left to train would park the clone forever.
-  if (continued->curve.perf.size() <= epoch) return false;
-
+  // snapshot can reach.
+  if (!jm_.clone(id, donor, options_.explore, stream,
+                 [this](core::JobId j) -> const std::vector<double>& {
+                   return db_.perf_history(j);
+                 },
+                 result_)) {
+    return false;
+  }
+  auto& job = jm_.job(id);
+  const std::size_t epoch = job.epochs_done;
   // The target adopts the donor's stats up to the clone epoch and gets
   // exactly one durable snapshot there, so the ordinary start_job resume path
   // restores it like any suspended job: ship the image, decode, charge the
   // resume-transfer cost.
-  if (job.status == core::JobStatus::Pending) ++result_.jobs_started;
   db_.adopt_history(id, donor, epoch);
   double size_bytes;
   if (const auto donor_snap = db_.latest_snapshot(donor)) {
@@ -267,7 +256,7 @@ bool HyperDriveCluster::clone_job(core::JobId id, core::JobId donor, std::uint64
   JobSnapshotState state;
   state.job_id = id;
   state.epoch = epoch;
-  state.config = continued->config;
+  state.config = job.spec->config;
   state.history = db_.perf_history(id);
   ModelSnapshot snapshot;
   snapshot.job_id = id;
@@ -277,13 +266,8 @@ bool HyperDriveCluster::clone_job(core::JobId id, core::JobId donor, std::uint64
   snapshot.stored_at = simulation_.now();
   db_.store_snapshot(std::move(snapshot));
 
-  job.spec = continued.get();
-  cloned_jobs_.push_back(std::move(continued));
-  job.epochs_done = epoch;
   // Any in-flight decision or deadline for the pre-clone job is stale now.
   ++job.incarnation;
-  job.status = core::JobStatus::Suspended;
-  ++result_.clones;
   record(obs::TraceEvent(obs::EventKind::JobClone)
              .with_job(static_cast<std::int64_t>(id))
              .with_epoch(static_cast<std::int64_t>(epoch))
@@ -466,14 +450,7 @@ void HyperDriveCluster::deliver_stat(const AppStat& stat) {
   event.now = simulation_.now();
 
   policy_->on_application_stat(*this, event);
-
-  if (stat.perf > result_.best_perf) result_.best_perf = stat.perf;
-  const bool hit = options_.stop_criterion ? options_.stop_criterion(event)
-                                           : stat.perf >= trace_.target_performance;
-  if (options_.stop_on_target && hit) {
-    result_.reached_target = true;
-    result_.time_to_target = simulation_.now();
-    result_.winning_job = stat.job_id;
+  if (sim::reaches_target(options_, trace_.target_performance, event, result_)) {
     record(obs::TraceEvent(obs::EventKind::TargetReached)
                .with_job(static_cast<std::int64_t>(stat.job_id))
                .with_epoch(static_cast<std::int64_t>(stat.epoch)));
@@ -1131,22 +1108,11 @@ void HyperDriveCluster::record(obs::TraceEvent event) {
 void HyperDriveCluster::finalize_result() {
   result_.total_time =
       done_ ? finished_at_ : std::min(simulation_.now(), options_.max_experiment_time);
-  for (const auto& [id, job] : jm_.all()) {
-    core::JobRunStats stats;
-    stats.job_id = id;
-    stats.execution_time = job.execution_time;
-    stats.epochs_completed = job.epochs_done;
-    stats.times_suspended = job.times_suspended;
-    stats.final_status = job.status;
-    stats.study = options_.study_label;
-    const auto& history = db_.perf_history(id);
-    stats.best_perf =
-        history.empty() ? 0.0 : *std::max_element(history.begin(), history.end());
-    result_.total_machine_time += job.execution_time;
-    result_.job_stats.push_back(stats);
-  }
-  result_.retransmissions = bus_.stats().retransmissions;
   result_.study = options_.study_label;
+  jm_.collect(result_, [this](core::JobId id) -> const std::vector<double>& {
+    return db_.perf_history(id);
+  });
+  result_.retransmissions = bus_.stats().retransmissions;
   // Close the slot-seconds and spend integrals at the experiment's end time.
   if (result_.total_time > slots_accrued_until_) {
     const util::SimTime dt = result_.total_time - slots_accrued_until_;

@@ -1,6 +1,9 @@
 // HyperDriveCluster — the high-fidelity model of a live HyperDrive
 // deployment (§4/§5), composed of the Resource Manager, Job Manager, Node
-// Agents and AppStat database, driven by a discrete-event simulation.
+// Agents and AppStat database, driven by a discrete-event simulation. The
+// Job Manager is the trace-replay simulator's own sim::JobManager over the
+// cluster's extended record (ManagedJob), and the clone mint, target test
+// and per-job result assembly are shared with it too.
 //
 // Fidelity knobs that distinguish it from the idealized trace-replay
 // simulator (and hence produce the Fig. 12a validation gap):
@@ -44,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -54,13 +58,13 @@
 #include "cluster/messaging.hpp"
 #include "cluster/node_catalog.hpp"
 #include "cluster/snapshot_codec.hpp"
-#include "cluster/job_manager.hpp"
 #include "cluster/node_agent.hpp"
 #include "cluster/overhead_model.hpp"
 #include "cluster/resource_manager.hpp"
 #include "core/experiment_result.hpp"
 #include "core/sap.hpp"
 #include "obs/scope.hpp"
+#include "sim/job_manager.hpp"
 #include "sim/simulation.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/bytes.hpp"
@@ -117,6 +121,48 @@ struct ClusterOptions : sim::ReplayOptions {
   /// so a merged multi-study stream stays attributable. Empty (default)
   /// adds nothing.
   std::string study_label;
+};
+
+/// The cluster's job record: the shared sim::JobRecord plus placement, the
+/// in-flight epoch and suspend events, the decision wait, the progress
+/// deadline, normalized time and incarnation. Its history is the AppStatDb.
+struct ManagedJob : sim::JobRecord {
+  std::optional<MachineId> machine;
+  util::SimTime training_time = util::SimTime::zero();  ///< completed-epoch time only
+
+  // In-flight epoch (cancelled when a suspend/terminate decision lands
+  // mid-epoch — the paper's overlapped prediction, §5.2).
+  sim::EventHandle pending_epoch = 0;
+  util::SimTime epoch_started_at = util::SimTime::zero();
+  bool epoch_in_flight = false;
+
+  // Blocking-decision mode (§5.2 ablation): the job idles on its machine
+  // while the prediction-based decision is computed.
+  bool waiting_decision = false;
+  util::SimTime wait_started_at = util::SimTime::zero();
+
+  // Suspend in progress: the snapshot-capture event that will ship the image
+  // to storage (cancelled if the node crashes during the capture window).
+  sim::EventHandle pending_suspend = 0;
+  bool suspend_in_flight = false;
+
+  // Gray-failure mitigation (DESIGN.md §7).
+  /// Expected (pre-degradation) duration of the epoch in flight; baseline for
+  /// the speed score and the progress deadline.
+  util::SimTime epoch_expected = util::SimTime::zero();
+  /// Straggler watchdog: fires when an epoch runs kHangDeadlineFactor x its
+  /// expected duration without completing; cancelled on completion/interrupt.
+  sim::EventHandle progress_deadline = 0;
+  bool deadline_armed = false;
+  /// training_time with each epoch scaled by the host's speed score — the
+  /// cost the epochs would have had on healthy nodes (feeds
+  /// SchedulerOps::normalized_epoch_duration).
+  util::SimTime normalized_training_time = util::SimTime::zero();
+
+  // Bumped every time the job is forcibly rolled back/requeued (crash, lost
+  // snapshot). Events scheduled against an older incarnation — a startup
+  // completion, a pending policy decision — are stale and must not act.
+  std::uint64_t incarnation = 0;
 };
 
 class HyperDriveCluster final : public core::SchedulerOps {
@@ -332,7 +378,7 @@ class HyperDriveCluster final : public core::SchedulerOps {
   NodeCatalog catalog_;
   sim::Simulation& simulation_;
   ResourceManager rm_;
-  JobManager jm_;
+  sim::JobManager<ManagedJob> jm_;
   AppStatDb db_;
   std::vector<NodeAgent> agents_;
   util::Rng rng_;
@@ -354,9 +400,6 @@ class HyperDriveCluster final : public core::SchedulerOps {
   /// Machines whose slow-quarantine is decided but whose job is still being
   /// cleanly suspended off them; finalized when the machine is released.
   std::set<MachineId> pending_quarantine_;
-  /// Continuation ground truth minted by clone_job (PBT exploit, DESIGN.md
-  /// §13); owned here because the input trace is frozen and shared.
-  std::vector<std::unique_ptr<workload::TraceJob>> cloned_jobs_;
   bool done_ = false;
   // --- lease state (DESIGN.md §9) ------------------------------------------
   CapacityView lease_target_;

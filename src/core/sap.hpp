@@ -17,7 +17,9 @@
 // sim::TraceReplaySimulator (the paper's §7.1 simplified simulator) — the
 // same policy object runs unchanged on either, which is the design goal the
 // paper states in §4 ("separation between hyperparameter search algorithms
-// and their runtime environment").
+// and their runtime environment"). Both serve the Job Manager calls from one
+// sim::JobManager table, so getIdleJob / labelJob order the idle queue by
+// the same rule on either substrate.
 #pragma once
 
 #include <cstdint>

@@ -5,58 +5,35 @@
 
 namespace hyperdrive::sim {
 
+bool reaches_target(const ReplayOptions& options, double target,
+                    const core::JobEvent& event, core::ExperimentResult& result) {
+  if (event.perf > result.best_perf) result.best_perf = event.perf;
+  // A model-owner-defined criterion (§9) replaces perf >= target.
+  const bool hit =
+      options.stop_criterion ? options.stop_criterion(event) : event.perf >= target;
+  if (!options.stop_on_target || !hit) return false;
+  result.reached_target = true;
+  result.time_to_target = event.now;
+  result.winning_job = event.job_id;
+  return true;
+}
+
 TraceReplaySimulator::TraceReplaySimulator(const workload::Trace& trace,
                                            ReplayOptions options)
-    : trace_(trace), options_(options), idle_machines_(options.machines) {
+    : trace_(trace), options_(options), jobs_(trace), idle_machines_(options.machines) {
   if (options_.machines == 0) throw std::invalid_argument("need at least one machine");
-  for (const auto& job : trace_.jobs) {
-    JobRuntime rt;
-    rt.spec = &job;
-    rt.idle_seq = idle_counter_++;
-    jobs_.emplace(job.job_id, std::move(rt));
-  }
-}
-
-TraceReplaySimulator::JobRuntime& TraceReplaySimulator::runtime(core::JobId job) {
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end()) throw std::out_of_range("unknown job id");
-  return it->second;
-}
-
-const TraceReplaySimulator::JobRuntime& TraceReplaySimulator::runtime(
-    core::JobId job) const {
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end()) throw std::out_of_range("unknown job id");
-  return it->second;
 }
 
 std::optional<core::JobId> TraceReplaySimulator::get_idle_job() {
-  const JobRuntime* best = nullptr;
-  core::JobId best_id = 0;
-  for (const auto& [id, rt] : jobs_) {
-    if (!rt.idle) continue;
-    if (rt.status != core::JobStatus::Pending && rt.status != core::JobStatus::Suspended) {
-      continue;
-    }
-    if (best == nullptr || rt.priority > best->priority ||
-        (rt.priority == best->priority && rt.idle_seq < best->idle_seq)) {
-      best = &rt;
-      best_id = id;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best_id;
+  return jobs_.get_idle_job();
 }
 
 bool TraceReplaySimulator::start_job(core::JobId job) {
-  auto& rt = runtime(job);
+  auto& rt = jobs_.job(job);
   if (idle_machines_ == 0) return false;
-  if (!rt.idle) return false;
-  if (rt.status != core::JobStatus::Pending && rt.status != core::JobStatus::Suspended) {
-    return false;
-  }
+  if (!rt.queued()) return false;
   if (rt.status == core::JobStatus::Pending) ++result_.jobs_started;
-  rt.idle = false;
+  jobs_.dequeue_idle(job);
   rt.status = core::JobStatus::Running;
   --idle_machines_;
   simulation_.schedule_after(rt.spec->curve.epoch_duration,
@@ -65,36 +42,29 @@ bool TraceReplaySimulator::start_job(core::JobId job) {
 }
 
 void TraceReplaySimulator::label_job(core::JobId job, double priority) {
-  runtime(job).priority = priority;
+  jobs_.label_job(job, priority);
 }
 
 core::JobStatus TraceReplaySimulator::job_status(core::JobId job) const {
-  return runtime(job).status;
+  return jobs_.job(job).status;
 }
 
 std::vector<core::JobId> TraceReplaySimulator::active_jobs() const {
-  std::vector<core::JobId> out;
-  for (const auto& [id, rt] : jobs_) {
-    if (rt.status == core::JobStatus::Pending || rt.status == core::JobStatus::Running ||
-        rt.status == core::JobStatus::Suspended) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return jobs_.active_jobs();
 }
 
 const std::vector<double>& TraceReplaySimulator::perf_history(core::JobId job) const {
-  return runtime(job).history;
+  return jobs_.job(job).history;
 }
 
 util::SimTime TraceReplaySimulator::avg_epoch_duration(core::JobId job) const {
-  const auto& rt = runtime(job);
+  const auto& rt = jobs_.job(job);
   if (rt.epochs_done == 0) return util::SimTime::zero();
   return rt.execution_time / static_cast<double>(rt.epochs_done);
 }
 
 std::size_t TraceReplaySimulator::epochs_done(core::JobId job) const {
-  return runtime(job).epochs_done;
+  return jobs_.job(job).epochs_done;
 }
 
 bool TraceReplaySimulator::supports_clone() const {
@@ -103,38 +73,22 @@ bool TraceReplaySimulator::supports_clone() const {
 
 bool TraceReplaySimulator::clone_job(core::JobId job, core::JobId donor,
                                      std::uint64_t stream) {
-  if (!options_.explore || job == donor) return false;
-  auto& dst = runtime(job);
-  const auto& src = runtime(donor);
-  if (!dst.idle) return false;
-  if (dst.status != core::JobStatus::Pending && dst.status != core::JobStatus::Suspended) {
+  if (!jobs_.clone(job, donor, options_.explore, stream,
+                   [this](core::JobId id) -> const std::vector<double>& {
+                     return jobs_.job(id).history;
+                   },
+                   result_)) {
     return false;
   }
-  if (src.epochs_done == 0) return false;  // donor has no trained state yet
-
-  auto continued = std::make_unique<workload::TraceJob>(
-      options_.explore(*dst.spec, *src.spec, src.epochs_done, stream));
-  continued->job_id = job;
-  // A continuation with nothing left to train would park the clone forever.
-  if (continued->curve.perf.size() <= src.epochs_done) return false;
-
-  // The target adopts the donor's weights: its observed history becomes the
-  // donor's prefix and it resumes (suspended) at the donor's epoch on the
-  // spliced continuation curve. Machine-time accounting stays the target's
-  // own — the adopted epochs were paid for by the donor.
-  if (dst.status == core::JobStatus::Pending) ++result_.jobs_started;
-  dst.spec = continued.get();
-  cloned_jobs_.push_back(std::move(continued));
-  dst.epochs_done = src.epochs_done;
-  dst.history = src.history;
-  dst.status = core::JobStatus::Suspended;
-  ++result_.clones;
+  // The target adopts the donor's weights, so its observed history becomes
+  // the donor's prefix.
+  jobs_.job(job).history = jobs_.job(donor).history;
   return true;
 }
 
 void TraceReplaySimulator::complete_epoch(core::JobId job) {
   if (done_) return;
-  auto& rt = runtime(job);
+  auto& rt = jobs_.job(job);
   const auto& curve = rt.spec->curve;
   rt.execution_time += curve.epoch_duration;
   const double perf = curve.perf.at(rt.epochs_done);
@@ -150,16 +104,7 @@ void TraceReplaySimulator::complete_epoch(core::JobId job) {
   event.now = simulation_.now();
 
   policy_->on_application_stat(*this, event);
-
-  // Experiment-level target monitor (the paper's time-to-target objective),
-  // optionally replaced by a model-owner-defined criterion (§9).
-  if (perf > result_.best_perf) result_.best_perf = perf;
-  const bool hit = options_.stop_criterion ? options_.stop_criterion(event)
-                                           : perf >= trace_.target_performance;
-  if (options_.stop_on_target && hit) {
-    result_.reached_target = true;
-    result_.time_to_target = simulation_.now();
-    result_.winning_job = job;
+  if (reaches_target(options_, trace_.target_performance, event, result_)) {
     finish_experiment();
     return;
   }
@@ -184,8 +129,7 @@ void TraceReplaySimulator::complete_epoch(core::JobId job) {
         break;
       }
       rt.status = core::JobStatus::Suspended;
-      rt.idle = true;
-      rt.idle_seq = idle_counter_++;
+      jobs_.enqueue_idle(job);
       ++rt.times_suspended;
       ++result_.suspends;
       break;
@@ -229,18 +173,9 @@ core::ExperimentResult TraceReplaySimulator::run(core::SchedulingPolicy& policy)
 
   result_.total_time =
       done_ ? simulation_.now() : std::min(simulation_.now(), options_.max_experiment_time);
-  for (const auto& [id, rt] : jobs_) {
-    core::JobRunStats stats;
-    stats.job_id = id;
-    stats.execution_time = rt.execution_time;
-    stats.epochs_completed = rt.epochs_done;
-    stats.times_suspended = rt.times_suspended;
-    stats.final_status = rt.status;
-    stats.best_perf =
-        rt.history.empty() ? 0.0 : *std::max_element(rt.history.begin(), rt.history.end());
-    result_.total_machine_time += rt.execution_time;
-    result_.job_stats.push_back(stats);
-  }
+  jobs_.collect(result_, [this](core::JobId id) -> const std::vector<double>& {
+    return jobs_.job(id).history;
+  });
   policy_ = nullptr;
   return result_;
 }

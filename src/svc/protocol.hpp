@@ -56,9 +56,9 @@ enum class MsgType : std::uint8_t {
   Ok = 71,           ///< Cancel/Shutdown acknowledgement
 };
 
-/// Submission lifecycle as reported over the wire (mirrors
-/// svc::SubmissionState; re-declared here so the protocol layer stays
-/// decoupled from the service internals).
+/// Submission lifecycle. One type serves the wire and the service: each
+/// svc::Service submission record holds its state as this enum, and the
+/// submission journal stores its to_string() name.
 enum class StudyState : std::uint8_t {
   Queued = 0,
   Running = 1,

@@ -5,22 +5,6 @@
 
 namespace hyperdrive::workload {
 
-namespace {
-
-/// Gaussian kernel in log10 space: 1 at the ideal value, decaying with
-/// distance measured in `width` decades.
-double log_kernel(double value, double ideal_log10, double width) {
-  const double d = (std::log10(value) - ideal_log10) / width;
-  return std::exp(-d * d);
-}
-
-double linear_kernel(double value, double ideal, double width) {
-  const double d = (value - ideal) / width;
-  return std::exp(-d * d);
-}
-
-}  // namespace
-
 CifarWorkloadModel::CifarWorkloadModel() {
   // The 14-hyperparameter space mirrors the cuda-convnet layers-18pct knobs
   // explored in Domhan et al. Table 3: learning-rate schedule, momentum,

@@ -5,13 +5,6 @@
 
 namespace hyperdrive::workload {
 
-namespace {
-double log_kernel(double value, double ideal_log10, double width) {
-  const double d = (std::log10(value) - ideal_log10) / width;
-  return std::exp(-d * d);
-}
-}  // namespace
-
 LunarWorkloadModel::LunarWorkloadModel() {
   // 11 hyperparameters, mirroring the DQN knobs of the model the paper uses.
   space_.add("lr", ContinuousDomain{1e-5, 1e-2, /*log_scale=*/true})

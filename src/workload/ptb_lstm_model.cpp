@@ -5,17 +5,6 @@
 
 namespace hyperdrive::workload {
 
-namespace {
-double log_kernel(double value, double ideal_log10, double width) {
-  const double d = (std::log10(value) - ideal_log10) / width;
-  return std::exp(-d * d);
-}
-double linear_kernel(double value, double ideal, double width) {
-  const double d = (value - ideal) / width;
-  return std::exp(-d * d);
-}
-}  // namespace
-
 PtbLstmWorkloadModel::PtbLstmWorkloadModel() {
   // The Zaremba et al. medium-LSTM knobs plus the group-Lasso lambda of the
   // §9 case study.

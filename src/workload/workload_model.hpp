@@ -81,6 +81,14 @@ class WorkloadModel {
                                                  std::uint64_t experiment_seed) const = 0;
 };
 
+/// Gaussian kernel in log10 space: 1 at the ideal value, decaying with
+/// distance measured in `width` decades. The workload models score each
+/// hyperparameter with it (or linear_kernel) and multiply the scores.
+[[nodiscard]] double log_kernel(double value, double ideal_log10, double width);
+/// Gaussian kernel in linear space: 1 at `ideal`, decaying with distance
+/// measured in `width` units.
+[[nodiscard]] double linear_kernel(double value, double ideal, double width);
+
 /// Intrinsic (noise-free) quality summary, exposed for tests and calibration.
 struct ConfigQuality {
   double final_perf = 0.0;   ///< asymptotic normalized performance

@@ -1,7 +1,8 @@
 // Development tool: prints population statistics of the synthetic workload
 // models so their calibration constants can be checked against the paper's
-// reported distributions (Fig. 1 / 2a / 8). Not part of the test suite, but
-// kept in-tree so future re-calibration is reproducible.
+// reported distributions (Fig. 1 / 2a / 8). Kept in-tree so future
+// re-calibration is reproducible; the tool_calibrate ctest runs it, so it
+// keeps building and running, while its numbers are read by eye.
 #include <cstdio>
 
 #include "util/stats.hpp"
